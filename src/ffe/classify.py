@@ -25,8 +25,8 @@ import numpy as np
 
 from .fpops import dephase
 from .linalg import singular_values, trace_powers
-from .polynomials import enumerate_polynomial_functions
-from .ring import ArityError, FiniteFunction
+from .polynomials import block_texts, enumerate_polynomial_blocks
+from .ring import ArityError, FiniteFunction, check_shape
 
 ALL_SCOPE_BUDGET = 10**7
 
@@ -258,19 +258,28 @@ def invariants_fingerprint(f):
 
 def lower_bound(d, n):
     """ceil(d^(d^n - n(d-1) - 1) / (d!)^n): LFP class-count lower bound."""
+    check_shape(d, n)
     num = d ** (d**n - n * (d - 1) - 1)
     den = math.factorial(d) ** n
     return -(-num // den)
 
 
 def dephased_polynomial_index(d):
-    """Map byte key of each dephased polynomial image -> sorted normal forms."""
+    """Map byte key of each dephased polynomial image -> sorted normal forms.
+
+    The listed forms are constant-free.  A constant term shifts the image by
+    a constant, which dephasing removes, so only the constant-free normal
+    forms are enumerated: each is distinct, keyed by its dephased image and
+    rendered as text once.
+    """
     index = {}
-    for poly, func in enumerate_polynomial_functions(d, 2):
-        key = _as_array(dephase(func).representative).astype(np.uint8).tobytes()
-        index.setdefault(key, []).append(poly.constant_free().to_text())
-    for key in index:
-        index[key] = sorted(set(index[key]))
+    blocks = enumerate_polynomial_blocks(d, 2, constant_free=True)
+    for monomials, coeffs, images in blocks:
+        keys = _dephase_arrays(images.reshape(-1, d, d), d).astype(np.uint8)
+        for key, text in zip(keys, block_texts(d, 2, monomials, coeffs)):
+            index.setdefault(key.tobytes(), []).append(text)
+    for texts in index.values():
+        texts.sort()
     return index
 
 
@@ -310,13 +319,13 @@ def _orbit_from_key(d, key):
 
 
 def _resolve_threads(threads):
-    env = os.environ.get("FFE_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, threads or 1)
+    """An explicit count, else FFE_THREADS, else 1; clamped to [1, cpu_count]."""
+    if threads is None:
+        threads = int(os.environ.get("FFE_THREADS") or 1)
+    return min(max(1, threads), os.cpu_count() or 1)
 
 
-def classify_lfp(d, scope="all", threads=1):
+def classify_lfp(d, scope="all", threads=None):
     """Partition the scope into LFP orbits (Catalogue without LU grouping).
 
     scope="all": every dephased matrix (budget d^((d-1)^2) <= 10^7).

@@ -8,6 +8,7 @@ mismatch.  Standard output is machine-parseable; progress goes to stderr.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 import time
@@ -133,7 +134,10 @@ def cmd_stabilizers(args):
 
 
 def cmd_lower_bound(args):
-    print(classify_mod.lower_bound(args.d, args.n))
+    # str() of an int stops at the interpreter's int-to-str digit limit (4300
+    # by default), which the bound passes (22,295 digits at d=12, n=4); an
+    # exact Decimal prints every digit and leaves that global limit alone
+    print(decimal.Decimal(classify_mod.lower_bound(args.d, args.n)))
     return EXIT_OK
 
 
@@ -166,7 +170,7 @@ def build_parser():
     p.add_argument("--lu", action="store_true")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, help="worker threads (default: FFE_THREADS, else 1)")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("query", help="invariants of a single state")

@@ -76,6 +76,33 @@ def _variable_names(n):
     return tuple(f"x{i + 1}" for i in range(n))
 
 
+def _text_order(exps):
+    """Terms are printed by total degree, then lex order of exponents."""
+    return (sum(exps), exps)
+
+
+def _term_text(names, exps, coeff):
+    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+    if not factors:
+        return str(coeff)
+    if coeff == 1:
+        return "*".join(factors)
+    return "*".join([str(coeff)] + factors)
+
+
+def block_texts(d, n, monomials, coeffs):
+    """Polynomial(d, n, dict(zip(monomials, row))).to_text() for every row of
+    a coefficient block (distinct monomials, coefficients in [0, d)), from a
+    table of term texts instead of one Polynomial per row."""
+    names = _variable_names(n)
+    order = sorted(range(len(monomials)), key=lambda k: _text_order(monomials[k]))
+    table = [[_term_text(names, monomials[k], c) for c in range(d)] for k in order]
+    return [
+        " + ".join([terms[c] for terms, c in zip(table, row) if c]) or "0"
+        for row in coeffs[:, order].tolist()
+    ]
+
+
 class Polynomial:
     """Polynomial over Z_d in n variables: a map monomial -> nonzero residue."""
 
@@ -127,24 +154,9 @@ class Polynomial:
         return FiniteFunction.from_callable(self.d, self.n, self.evaluate)
 
     def to_text(self):
-        if not self._terms:
-            return "0"
         names = _variable_names(self.n)
-        parts = []
-        for exps, coeff in sorted(self._terms, key=lambda t: (sum(t[0]), t[0])):
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(coeff)] + factors))
-        return " + ".join(parts)
+        terms = sorted(self._terms, key=lambda t: _text_order(t[0]))
+        return " + ".join(_term_text(names, e, c) for e, c in terms) or "0"
 
     def __eq__(self, other):
         return (
@@ -180,12 +192,12 @@ def parse_polynomial(text, d, n):
             if factor.isdigit():
                 coeff = coeff * int(factor)
                 continue
-            name, _, power = factor.partition("^")
+            name, caret, power = factor.partition("^")
             if name not in names:
                 raise PolynomialParseError(f"unknown variable {name!r}")
-            if power and not power.isdigit():
+            if caret and not power.isdigit():
                 raise PolynomialParseError(f"bad exponent in {factor!r}")
-            exps[names[name]] += int(power) if power else 1
+            exps[names[name]] += int(power) if caret else 1
         key = tuple(exps)
         terms[key] = (terms.get(key, 0) + coeff) % d
     return Polynomial(d, n, terms)
@@ -215,11 +227,18 @@ def _monomial_image(exps, d, n):
     return vals
 
 
-def enumerate_polynomial_functions(d, n, chunk=8192):
-    """Yield every (normal-form polynomial, image function) exactly once.
+def enumerate_polynomial_blocks(d, n, chunk=8192, constant_free=False):
+    """Yield (monomials, coeffs, images) blocks covering every normal form once.
 
-    Coefficients of shared monomials are CRT-merged residues in Z_d; a
-    monomial absent from a prime-power component contributes 0 there.
+    `monomials` lists the merged admissible exponent vectors, lex order, the
+    constant monomial first.  A block holds up to `chunk` normal forms as int64
+    arrays: `coeffs` (rows x monomials) and their images `coeffs @ M % d`
+    (rows x d^n), where row k of M is the image of monomial k.  Coefficients
+    of shared monomials are CRT-merged residues in Z_d; a monomial absent
+    from a prime-power component contributes 0 there.  Rows run in
+    itertools.product order over the coefficient choices, so the constant
+    varies slowest.  constant_free=True keeps only the rows whose constant
+    coefficient is 0.
     """
     factors = prime_power_factors(d)
     basis = _crt_basis(factors)
@@ -228,30 +247,39 @@ def enumerate_polynomial_functions(d, n, chunk=8192):
     choice_lists = []
     total = 1
     for exps in merged:
-        choices = []
-        residue_ranges = [
-            range(comp.get(exps, 1)) if exps in comp else range(1)
-            for comp in component
-        ]
-        for residues in itertools.product(*residue_ranges):
-            choices.append(sum(u * r for u, r in zip(basis, residues)) % d)
-        choice_lists.append(choices)
-        total *= len(choices)
+        residue_ranges = [range(comp.get(exps, 1)) for comp in component]
+        choice_lists.append([
+            sum(u * r for u, r in zip(basis, residues)) % d
+            for residues in itertools.product(*residue_ranges)
+        ])
+        total *= len(choice_lists[-1])
         if total > ENUMERATION_BUDGET:
             raise EnumerationTooLarge(
                 f"{d=}, {n=}: more than {ENUMERATION_BUDGET} polynomial functions"
             )
+    if constant_free:
+        choice_lists[0] = [0]  # merged[0] is the constant monomial (0, ..., 0)
     images = np.array([_monomial_image(e, d, n) for e in merged], dtype=np.int64)
-    stream = itertools.product(*choice_lists)
-    while True:
-        block = list(itertools.islice(stream, chunk))
-        if not block:
-            return
-        coeffs = np.array(block, dtype=np.int64)
-        vals = coeffs @ images % d
-        for row_coeffs, row_vals in zip(block, vals):
-            poly = Polynomial(d, n, dict(zip(merged, row_coeffs)))
-            yield poly, FiniteFunction(d, n, row_vals.tolist())
+    radices = np.array([len(c) for c in choice_lists], dtype=np.int64)
+    # mixed-radix place values, the last monomial fastest
+    strides = np.cumprod(np.append(1, radices[:0:-1]))[::-1]
+    table = np.zeros((len(merged), int(radices.max())), dtype=np.int64)
+    for k, choices in enumerate(choice_lists):
+        table[k, : len(choices)] = choices
+    columns = np.arange(len(merged))
+    rows = int(np.prod(radices))
+    for start in range(0, rows, chunk):
+        ordinals = np.arange(start, min(start + chunk, rows), dtype=np.int64)
+        coeffs = table[columns, ordinals[:, None] // strides % radices]
+        yield merged, coeffs, coeffs @ images % d
+
+
+def enumerate_polynomial_functions(d, n, chunk=8192):
+    """Yield every (normal-form polynomial, image function) exactly once."""
+    for monomials, coeffs, images in enumerate_polynomial_blocks(d, n, chunk):
+        for row_coeffs, row_vals in zip(coeffs.tolist(), images.tolist()):
+            poly = Polynomial(d, n, dict(zip(monomials, row_coeffs)))
+            yield poly, FiniteFunction(d, n, row_vals)
 
 
 def count_polynomial_functions(d, n):

@@ -22,6 +22,14 @@ class PermutationError(ValueError):
     """Sequence is not a bijection on its index range."""
 
 
+def check_shape(d, n):
+    """Reject a local dimension or site count outside the supported range."""
+    if not (MIN_D <= d <= MAX_D):
+        raise ArityError(f"d={d} outside supported range [{MIN_D}, {MAX_D}]")
+    if not (1 <= n <= MAX_N):
+        raise ArityError(f"n={n} outside supported range [1, {MAX_N}]")
+
+
 def check_permutation(perm, size):
     perm = tuple(perm)
     if len(perm) != size or sorted(perm) != list(range(size)):
@@ -60,10 +68,7 @@ class FiniteFunction:
     __slots__ = ("d", "n", "values")
 
     def __init__(self, d, n, values):
-        if not (MIN_D <= d <= MAX_D):
-            raise ArityError(f"d={d} outside supported range [{MIN_D}, {MAX_D}]")
-        if not (1 <= n <= MAX_N):
-            raise ArityError(f"n={n} outside supported range [1, {MAX_N}]")
+        check_shape(d, n)
         values = tuple(v % d for v in values)
         if len(values) != d**n:
             raise ArityError(f"expected {d**n} values, got {len(values)}")

@@ -1,6 +1,7 @@
 """Orbit enumeration, invariants, catalogues, special states, lower bounds."""
 import itertools
 import json
+import os
 import random
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 
 from ffe.classify import (
     BudgetError,
+    _resolve_threads,
     classify_lfp,
     classify_lu,
+    dephased_polynomial_index,
     haagerup_histogram,
     invariant_It,
     invariant_row_signature,
@@ -19,10 +22,15 @@ from ffe.classify import (
     membership_check,
     special_function,
 )
-from ffe.fpops import dephase, image_matrix_row_col_ops, random_lfp
+from ffe.fpops import dephase, image_matrix_row_col_ops, is_dephased, random_lfp
 from ffe.linalg import is_butson_hadamard, singular_values
-from ffe.polynomials import is_polynomial
-from ffe.ring import FiniteFunction
+from ffe.polynomials import (
+    count_polynomial_functions,
+    enumerate_polynomial_functions,
+    is_polynomial,
+    parse_polynomial,
+)
+from ffe.ring import ArityError, FiniteFunction
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +82,60 @@ class TestOrbits:
         for _ in range(5):
             f = FiniteFunction(4, 2, [rng.randrange(4) for _ in range(16)])
             assert lfp_orbit(f) == orbit_by_closure(f)
+
+
+def index_by_dephasing(d):
+    """Independent oracle for the dephased polynomial index: one Polynomial,
+    FiniteFunction and scalar dephase() per enumerated normal form, listed
+    under the text of its constant-free part."""
+    index = {}
+    for poly, func in enumerate_polynomial_functions(d, 2):
+        key = np.array(dephase(func).representative.values, dtype=np.uint8).tobytes()
+        index.setdefault(key, set()).add(poly.constant_free().to_text())
+    return {key: sorted(texts) for key, texts in index.items()}
+
+
+class TestPolynomialIndex:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_oracle(self, d):
+        assert dephased_polynomial_index(d) == index_by_dephasing(d)
+
+    def test_d4_structure(self):
+        index = dephased_polynomial_index(4)
+        assert len(index) == 64
+        texts = [text for listed in index.values() for text in listed]
+        assert len(texts) == count_polynomial_functions(4, 2) // 4 == 16384
+        assert len(set(texts)) == len(texts)
+        for key, listed in index.items():
+            assert is_dephased(FiniteFunction(4, 2, key))
+            assert listed == sorted(listed)
+            for text in listed:
+                func = parse_polynomial(text, 4, 2).to_function()
+                assert bytes(dephase(func).representative.values) == key
+
+
+class TestThreads:
+    def test_explicit_count_beats_environment(self, monkeypatch):
+        monkeypatch.setenv("FFE_THREADS", "2")
+        assert classify_lfp(2, "all", threads=1).provenance["threads"] == 1
+        assert _resolve_threads(1) == 1
+
+    def test_environment_applies_when_unset(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("FFE_THREADS", "3")
+        assert _resolve_threads(None) == 3
+        monkeypatch.delenv("FFE_THREADS")
+        assert _resolve_threads(None) == 1
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _resolve_threads(10**9) == 4
+        assert _resolve_threads(0) == 1
+        assert _resolve_threads(-3) == 1
+        monkeypatch.setenv("FFE_THREADS", str(10**9))
+        assert _resolve_threads(None) == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_threads(8) == 1
 
 
 class TestClassifyD3:
@@ -197,6 +259,11 @@ class TestLowerBound:
         assert lower_bound(4, 2) == 456
         assert lower_bound(5, 2) == 10596382
         assert lower_bound(3, 3) == 16142521
+
+    def test_out_of_range_rejected(self):
+        for d, n in [(1, 2), (13, 2), (3, 0), (3, 5)]:
+            with pytest.raises(ArityError):
+                lower_bound(d, n)
 
     def test_formula_direct(self):
         import math

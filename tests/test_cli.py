@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 import json
+import sys
 
 import pytest
 
@@ -71,6 +72,10 @@ class TestQuery:
         code, _, err = run(capsys, "query", "--d", "3", "--f", "x*z", "--ops", "it")
         assert code == EXIT_INPUT and "input error" in err
 
+    def test_trailing_caret_rejected(self, capsys):
+        code, out, err = run(capsys, "query", "--d", "3", "--f", "x^", "--ops", "it")
+        assert code == EXIT_INPUT and out == "" and "input error" in err
+
     def test_named_state_wrong_d(self, capsys):
         code, _, err = run(capsys, "query", "--d", "4", "--f", "s6", "--ops", "it")
         assert code == EXIT_INPUT
@@ -132,7 +137,30 @@ class TestLowerBound:
 
     def test_d2_n1(self, capsys):
         code, out, _ = run(capsys, "lower-bound", "--d", "2", "--n", "1")
-        assert out.strip() == "1"
+        assert code == EXIT_OK and out.strip() == "1"
+
+    def test_largest_bound_printed_in_full(self, capsys):
+        import math
+
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "lower-bound", "--d", "12", "--n", "4")
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+        closed = -(-(12 ** (12**4 - 4 * 11 - 1)) // math.factorial(12) ** 4)
+        digits = out.strip()
+        assert len(digits) == 22295
+        # compare in 1000-digit pieces: str() and int() of the whole value
+        # would pass the interpreter's int-to-str digit limit
+        pieces = [digits[max(0, i - 1000):i] for i in range(len(digits), 0, -1000)]
+        for piece in pieces:
+            closed, low = divmod(closed, 10 ** len(piece))
+            assert int(piece) == low
+        assert closed == 0
+
+    @pytest.mark.parametrize("d,n", [(1, 2), (3, 0), (13, 2)])
+    def test_out_of_range_rejected(self, capsys, d, n):
+        code, out, err = run(capsys, "lower-bound", "--d", str(d), "--n", str(n))
+        assert code == EXIT_INPUT and out == "" and "outside supported range" in err
 
 
 class TestVerifyAppendix:

@@ -2,6 +2,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ffe.classify import special_function
@@ -10,8 +11,10 @@ from ffe.polynomials import (
     Polynomial,
     PolynomialParseError,
     admissible_monomials,
+    block_texts,
     composite_degree,
     count_polynomial_functions,
+    enumerate_polynomial_blocks,
     enumerate_polynomial_functions,
     is_polynomial,
     monomial_gate_list,
@@ -80,6 +83,30 @@ class TestEnumeration:
         with pytest.raises(EnumerationTooLarge):
             list(enumerate_polynomial_functions(8, 2))
 
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_constant_free_blocks_are_the_zero_constant_rows(self, d):
+        def stacked(**kw):
+            blocks = list(enumerate_polynomial_blocks(d, 2, chunk=5000, **kw))
+            assert all(len(coeffs) <= 5000 for _, coeffs, _ in blocks)
+            return [np.concatenate([b[i] for b in blocks]) for i in (1, 2)]
+
+        coeffs, images = stacked()
+        free_coeffs, free_images = stacked(constant_free=True)
+        assert len(coeffs) == count_polynomial_functions(d, 2) == d * len(free_coeffs)
+        zero = coeffs[:, 0] == 0
+        assert np.array_equal(free_coeffs, coeffs[zero])
+        assert np.array_equal(free_images, images[zero])
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_block_texts_match_to_text(self, d):
+        monomials, coeffs, _ = next(enumerate_polynomial_blocks(d, 2, chunk=3000))
+        expected = [
+            Polynomial(d, 2, dict(zip(monomials, row))).to_text()
+            for row in coeffs.tolist()
+        ]
+        assert block_texts(d, 2, monomials, coeffs) == expected
+        assert expected[0] == "0"
+
     def test_d6_count(self):
         assert count_polynomial_functions(6, 2) == 2**4 * 3**9 == 314928
 
@@ -98,7 +125,7 @@ class TestParse:
         assert p.terms == {(1, 2): 1}
 
     def test_errors(self):
-        for bad in ["", "x+", "z*y", "x^y"]:
+        for bad in ["", "x+", "z*y", "x^y", "x^"]:
             with pytest.raises(PolynomialParseError):
                 parse_polynomial(bad, 3, 2)
 
