@@ -1,25 +1,22 @@
 """Brute-force classification of bipartite encodings.
 
-Local-Pauli (LFP) classes are orbits of dephased image matrices under row and
-column operations; orbits are explored by breadth-first search under the
-generators {adjacent row swap, adjacent column swap}, each followed by
-re-dephasing.  This is a transversal argument: dephased matrices represent the
-phase cosets, and adjacent transpositions generate the two symmetric groups.
+Local-Pauli (LFP) classes are orbits of dephased image matrices under local
+phases and row and column permutations.  Dephasing absorbs every phase, so
+the orbit of a dephased matrix M is exactly {dephase(M[σ][:, τ]) : σ, τ ∈ S_d}
+and is closed in one gather over all (d!)^2 permutation pairs, in blocks of a
+fixed number of images.
 Local-unitary (LU) classes group LFP classes by the exact trace-power
 signature of the Gram matrix of a representative.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import math
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -46,55 +43,74 @@ def _dephase_arrays(mats, d):
     return out % d
 
 
-def _generators(d):
-    gens = []
-    for k in range(d - 1):
-        def row_swap(mats, k=k, d=d):
-            out = mats.copy()
-            out[:, [k, k + 1], :] = out[:, [k + 1, k], :]
-            return _dephase_arrays(out, d)
+# Images per block of _orbit_blocks.  A block is one int64 gather index and
+# its uint8 images, 4096 * 36 * (8 + 1) bytes = 1.3 MB at d = 6.  _orbit
+# keeps the keys of all (d!)^2 images (18.7 MB at d = 6), sorts them in place
+# (np.unique would copy them once more) and copies out the distinct ones;
+# membership_check keeps one block.
+ORBIT_CHUNK = 1 << 12
+# The most images, (d!)^2, that one orbit closure may enumerate: d <= 6
+# (518,400) runs, and d = 7 (25,401,600) raises BudgetError before any work.
+ORBIT_BUDGET = math.factorial(6) ** 2
 
-        def col_swap(mats, k=k, d=d):
-            out = mats.copy()
-            out[:, :, [k, k + 1]] = out[:, :, [k + 1, k]]
-            return _dephase_arrays(out, d)
 
-        gens.append(row_swap)
-        gens.append(col_swap)
-    return gens
+@functools.cache
+def _permutations(d):
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
+    perms.flags.writeable = False
+    return perms
+
+
+def _orbit_blocks(seed):
+    """Yield dephase(seed[σ][:, τ]) for all (σ, τ) ∈ S_d × S_d, σ-major, as
+    uint8 (n, d, d) blocks of at most ORBIT_CHUNK images.
+
+    For a dephased seed these images are its whole LFP orbit, with repeats.
+    """
+    d = seed.shape[0]
+    total = math.factorial(d) ** 2
+    if total > ORBIT_BUDGET:
+        raise BudgetError(f"an orbit at d={d} needs {total} images > {ORBIT_BUDGET}")
+    # dephase(seed[σ][:, τ]) is seed dephased against row σ0 and column τ0,
+    # read at rows σ and columns τ.  Bordering seed with row r and column c
+    # puts that pivot at (0, 0), so one _dephase_arrays call tables all d²
+    # pivots, and each block is a single gather from the table.
+    border = np.column_stack([np.arange(d), np.tile(np.arange(d), (d, 1))])
+    bordered = seed.astype(np.int16)[border[:, None, :, None], border[None, :, None, :]]
+    table = _dephase_arrays(bordered.reshape(d * d, d + 1, d + 1), d)[:, 1:, 1:]
+    table = table.astype(np.uint8).ravel()
+    perms = _permutations(d)
+    rows = perms[:, :1] * d**3 + perms * d  # table offset of (σ0, ·, σ_i, ·)
+    cols = perms[:, :1] * d**2 + perms  # table offset of (·, τ0, ·, τ_j)
+    for start in range(0, total, ORBIT_CHUNK):
+        sigma, tau = np.divmod(np.arange(start, min(start + ORBIT_CHUNK, total)), len(perms))
+        yield np.take(table, rows[sigma][:, :, None] + cols[tau][:, None, :])
+
+
+def _void_keys(blocks):
+    """One d²-byte key per matrix; keys sort as the matrices' bytes do."""
+    n, d, _ = blocks.shape
+    return blocks.reshape(n, d * d).view(np.dtype((np.void, d * d))).ravel()
+
+
+def _orbit(seed, encode=_void_keys):
+    """Sorted distinct keys, under encode, of the orbit of a dephased seed."""
+    keys = np.concatenate([encode(b) for b in _orbit_blocks(seed)])
+    keys.sort()
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
 def lfp_orbit_keys(f):
-    """BFS closure of dephase(f) as a set of byte keys of dephased matrices."""
+    """The orbit of dephase(f) as a set of byte keys of dephased matrices."""
     if f.n != 2:
         raise ArityError("orbit enumeration defined for n=2")
-    d = f.d
     seed = _as_array(dephase(f).representative).astype(np.uint8)
-    gens = _generators(d)
-    visited = {seed.tobytes()}
-    frontier = seed[None, :, :].astype(np.int16)
-    while frontier.shape[0]:
-        cand = np.concatenate([g(frontier) for g in gens]).reshape(-1, d * d)
-        cand = np.unique(cand, axis=0).astype(np.uint8)
-        new = []
-        for row in cand:
-            key = row.tobytes()
-            if key not in visited:
-                visited.add(key)
-                new.append(row)
-        if new:
-            frontier = np.array(new, dtype=np.int16).reshape(-1, d, d)
-        else:
-            frontier = np.empty((0, d, d), dtype=np.int16)
-    return visited
+    return set(_orbit(seed).tolist())
 
 
 def lfp_orbit(f):
     """The orbit of dephased image matrices of f, as FiniteFunctions."""
-    d = f.d
-    return {
-        FiniteFunction(d, 2, list(key)) for key in lfp_orbit_keys(f)
-    }
+    return {key_to_function(f.d, key) for key in lfp_orbit_keys(f)}
 
 
 def key_to_function(d, key):
@@ -109,6 +125,7 @@ class OrbitRecord:
         "contains_polynomial",
         "polynomial_reps",
         "invariants_fingerprint",
+        "singular_values",
     )
 
     def __init__(self, lfp_class_id, representative, orbit_size,
@@ -119,6 +136,7 @@ class OrbitRecord:
         self.contains_polynomial = contains_polynomial
         self.polynomial_reps = polynomial_reps
         self.invariants_fingerprint = invariants_fingerprint
+        self.singular_values = None  # filled by Catalogue.class_singular_values
 
 
 class LUClassRecord:
@@ -143,6 +161,13 @@ class Catalogue:
             for cid in rec.member_lfp_class_ids:
                 self.lu_of_lfp[cid] = rec.lu_class_id
 
+    def class_singular_values(self, rec):
+        """Singular values of an LFP class's representative, computed once."""
+        if rec.singular_values is None:
+            rep = key_to_function(self.d, rec.representative)
+            rec.singular_values = singular_values(rep)
+        return rec.singular_values
+
     def to_json(self):
         classes = []
         for rec in self.orbits:
@@ -159,7 +184,7 @@ class Catalogue:
                 "col_signature": list(colsig),
                 "haagerup": list(haag),
                 "singular_values": [
-                    round(v, 10) for v in singular_values(rep)
+                    round(v, 10) for v in self.class_singular_values(rec)
                 ],
             }
             if rec.lfp_class_id in self.lu_of_lfp:
@@ -178,8 +203,8 @@ class Catalogue:
                     }
                     for rec in self.lu_classes
                 ],
-                # scheduling-dependent fields stay out so output is
-                # byte-identical across runs and thread counts
+                # run-dependent fields stay out so output is
+                # byte-identical across runs
                 "provenance": {
                     k: v
                     for k, v in self.provenance.items()
@@ -208,7 +233,7 @@ class Catalogue:
                     int(rec.contains_polynomial),
                     self.lu_of_lfp.get(rec.lfp_class_id, ""),
                     rec.invariants_fingerprint[0],
-                    " ".join(f"{v:.5f}" for v in singular_values(rep)),
+                    " ".join(f"{v:.5f}" for v in self.class_singular_values(rec)),
                     json.dumps(rep.as_matrix()),
                 ]
             )
@@ -283,46 +308,35 @@ def dephased_polynomial_index(d):
     return index
 
 
-def _iter_all_dephased_keys(d):
-    """All dephased matrices (zero first row/column), lex order, as keys."""
-    core_points = [(x, y) for x in range(1, d) for y in range(1, d)]
-    mat = np.zeros((d, d), dtype=np.uint8)
-    for combo in itertools.product(range(d), repeat=(d - 1) ** 2):
-        for (x, y), v in zip(core_points, combo):
-            mat[x, y] = v
-        yield mat.tobytes()
-
-
 def _orbit_from_key(d, key):
     """(orbit size, lexmin key, full key set) for the orbit of a dephased key."""
-    seed = np.frombuffer(key, dtype=np.uint8).reshape(d, d)
-    gens = _generators(d)
-    visited = {key}
-    best = key
-    frontier = seed[None, :, :].astype(np.int16)
-    while frontier.shape[0]:
-        cand = np.concatenate([g(frontier) for g in gens]).reshape(-1, d * d)
-        cand = np.unique(cand, axis=0).astype(np.uint8)
-        new = []
-        for row in cand:
-            k = row.tobytes()
-            if k not in visited:
-                visited.add(k)
-                new.append(row)
-                if k < best:
-                    best = k
-        if new:
-            frontier = np.array(new, dtype=np.int16).reshape(-1, d, d)
-        else:
-            break
-    return len(visited), best, visited
+    keys = _orbit(np.frombuffer(key, dtype=np.uint8).reshape(d, d))
+    return len(keys), keys[0].tobytes(), set(keys.tolist())
 
 
-def _resolve_threads(threads):
-    """An explicit count, else FFE_THREADS, else 1; clamped to [1, cpu_count]."""
-    if threads is None:
-        threads = int(os.environ.get("FFE_THREADS") or 1)
-    return min(max(1, threads), os.cpu_count() or 1)
+def _positions(sorted_keys, keys):
+    """Positions in sorted_keys of those of keys that it holds."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos[sorted_keys[pos] == keys]
+
+
+def _close_orbits(seeds, decode, encode, index_keys, index_texts):
+    """Close the orbit of each seed that no earlier orbit holds, in order.
+
+    seeds and index_keys are sorted arrays of keys under encode, which maps a
+    block of dephased matrices to keys; decode maps a key back to its matrix.
+    Yields the bytes of each orbit's lexmin matrix, its size and the sorted
+    texts listed under the index keys it holds.
+    """
+    claimed = np.zeros(len(seeds), dtype=bool)
+    for i, seed in enumerate(seeds):
+        if claimed[i]:
+            continue
+        keys = _orbit(decode(seed), encode)
+        claimed[_positions(seeds, keys)] = True
+        hits = _positions(index_keys, keys)
+        texts = sorted(itertools.chain.from_iterable(index_texts[j] for j in hits))
+        yield decode(keys[0]).tobytes(), len(keys), texts
 
 
 def classify_lfp(d, scope="all", threads=None):
@@ -331,9 +345,9 @@ def classify_lfp(d, scope="all", threads=None):
     scope="all": every dephased matrix (budget d^((d-1)^2) <= 10^7).
     scope="teh": orbits seeded from dephased polynomial images; classes are
     additionally annotated with every normal-form polynomial they contain.
+    threads is accepted for compatibility and has no effect.
     """
     start = time.time()
-    threads = _resolve_threads(threads)
     if scope not in ("all", "teh"):
         raise ValueError(f"unknown scope {scope!r}")
     if scope == "all" and d ** ((d - 1) ** 2) > ALL_SCOPE_BUDGET:
@@ -341,59 +355,41 @@ def classify_lfp(d, scope="all", threads=None):
             f"scope=all at d={d} needs {d ** ((d - 1) ** 2)} matrices > {ALL_SCOPE_BUDGET}"
         )
     poly_index = dephased_polynomial_index(d)
+    index_keys = sorted(poly_index)
+    index_mats = np.frombuffer(b"".join(index_keys), dtype=np.uint8).reshape(-1, d, d)
     if scope == "all":
-        seeds = list(_iter_all_dephased_keys(d))
+        # a dephased matrix is keyed by its core read as a base-d number,
+        # most significant digit first, so codes sort as the matrices' bytes
+        weights = d ** np.arange((d - 1) ** 2 - 1, -1, -1, dtype=np.int64)
+
+        def encode(blocks):
+            return blocks[:, 1:, 1:].reshape(len(blocks), -1) @ weights
+
+        def decode(code):
+            mat = np.zeros((d, d), dtype=np.uint8)
+            mat[1:, 1:] = (code // weights % d).reshape(d - 1, d - 1)
+            return mat
+
+        seeds = np.arange(d ** ((d - 1) ** 2), dtype=np.int64)
     else:
-        seeds = sorted(poly_index)
+        encode = _void_keys
 
-    results = {}
-    claimed = set()
-    lock = threading.Lock()
-    queue = SimpleQueue()
-    for key in seeds:
-        queue.put(key)
+        def decode(key):
+            return np.frombuffer(key.tobytes(), dtype=np.uint8).reshape(d, d)
 
-    def worker():
-        while True:
-            try:
-                key = queue.get_nowait()
-            except Empty:
-                return
-            with lock:
-                if key in claimed:
-                    continue
-            size, best, members = _orbit_from_key(d, key)
-            polys = sorted(
-                set().union(set(), *[set(poly_index.get(k, ())) for k in members])
-            )
-            poly_hit = bool(polys)
-            rep_fn = key_to_function(d, best)
-            record = (size, best, poly_hit, polys, invariants_fingerprint(rep_fn))
-            with lock:
-                results[best] = record
-                if scope == "teh":
-                    claimed.update(k for k in members if k in poly_index)
-                else:
-                    claimed.update(members)
-
-    if threads == 1:
-        worker()
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(worker) for _ in range(threads)]
-            for fut in futures:
-                fut.result()
-
-    orbits = []
-    for cid, best in enumerate(sorted(results)):
-        size, _, poly_hit, polys, fingerprint = results[best]
-        orbits.append(
-            OrbitRecord(cid, best, size, poly_hit, polys, fingerprint)
+        seeds = encode(index_mats)
+    index_texts = [poly_index[k] for k in index_keys]
+    found = sorted(_close_orbits(seeds, decode, encode, encode(index_mats), index_texts))
+    orbits = [
+        OrbitRecord(
+            cid, best, size, bool(texts), texts,
+            invariants_fingerprint(key_to_function(d, best)),
         )
+        for cid, (best, size, texts) in enumerate(found)
+    ]
     provenance = {
         "seed_count": len(seeds),
         "runtime_seconds": round(time.time() - start, 3),
-        "threads": threads,
         "version": 1,
     }
     return Catalogue(d, scope, orbits, provenance=provenance)
@@ -409,10 +405,8 @@ def classify_lu(cat):
     lu_classes = []
     ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
     for lu_id, (sig, members) in enumerate(ordered):
-        rep = key_to_function(cat.d, cat.orbits[min(members)].representative)
-        lu_classes.append(
-            LUClassRecord(lu_id, sig, sorted(members), singular_values(rep))
-        )
+        sv = cat.class_singular_values(cat.orbits[min(members)])
+        lu_classes.append(LUClassRecord(lu_id, sig, sorted(members), sv))
     return Catalogue(cat.d, cat.scope, cat.orbits, lu_classes, cat.provenance)
 
 
@@ -507,5 +501,8 @@ def membership_check(f, class_rep):
         raise ArityError("membership defined for n=2")
     if f.d != class_rep.d:
         raise ArityError("mismatched d")
-    target = _as_array(dephase(f).representative).astype(np.uint8).tobytes()
-    return target in lfp_orbit_keys(class_rep)
+    target = _as_array(dephase(f).representative).astype(np.uint8)
+    seed = _as_array(dephase(class_rep).representative).astype(np.uint8)
+    return any(
+        (block == target).all(axis=(1, 2)).any() for block in _orbit_blocks(seed)
+    )

@@ -170,7 +170,7 @@ def build_parser():
     p.add_argument("--lu", action="store_true")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=int, help="worker threads (default: FFE_THREADS, else 1)")
+    p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("query", help="invariants of a single state")

@@ -1,23 +1,24 @@
 """Orbit enumeration, invariants, catalogues, special states, lower bounds."""
 import itertools
 import json
-import os
 import random
 
 import numpy as np
 import pytest
 
+from ffe import classify
 from ffe.classify import (
     BudgetError,
-    _resolve_threads,
     classify_lfp,
     classify_lu,
     dephased_polynomial_index,
     haagerup_histogram,
     invariant_It,
     invariant_row_signature,
+    invariants_fingerprint,
     key_to_function,
     lfp_orbit,
+    lfp_orbit_keys,
     lower_bound,
     membership_check,
     special_function,
@@ -83,6 +84,37 @@ class TestOrbits:
             f = FiniteFunction(4, 2, [rng.randrange(4) for _ in range(16)])
             assert lfp_orbit(f) == orbit_by_closure(f)
 
+    def test_matches_closure_oracle_d5_random(self):
+        rng = random.Random(5)
+        for _ in range(2):
+            f = FiniteFunction(5, 2, [rng.randrange(5) for _ in range(25)])
+            assert lfp_orbit(f) == orbit_by_closure(f)
+
+    def test_blocks_that_split_a_row_permutation(self, monkeypatch):
+        # 7 images per block is fewer than the 4! column permutations that
+        # share one row permutation, so most blocks start or end inside one
+        monkeypatch.setattr(classify, "ORBIT_CHUNK", 7)
+        seed = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 3, 0, 1], [0, 2, 2, 0]], dtype=np.uint8)
+        sizes = [len(block) for block in classify._orbit_blocks(seed)]
+        assert sizes == [7] * 82 + [2]
+        f = FiniteFunction(4, 2, seed.ravel().tolist())
+        assert lfp_orbit(f) == orbit_by_closure(f)
+        cat = classify_lfp(3, "all")
+        monkeypatch.undo()
+        assert cat.to_json() == classify_lfp(3, "all").to_json()
+
+    def test_d7_budget_raised_before_any_image(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the orbit scan started")
+
+        monkeypatch.setattr(classify, "_permutations", no_scan)
+        monkeypatch.setattr(classify, "_dephase_arrays", no_scan)
+        f = special_function("fourier", 7)
+        with pytest.raises(BudgetError):
+            membership_check(f, f)
+        with pytest.raises(BudgetError):
+            lfp_orbit_keys(f)
+
 
 def index_by_dephasing(d):
     """Independent oracle for the dephased polynomial index: one Polynomial,
@@ -112,30 +144,6 @@ class TestPolynomialIndex:
             for text in listed:
                 func = parse_polynomial(text, 4, 2).to_function()
                 assert bytes(dephase(func).representative.values) == key
-
-
-class TestThreads:
-    def test_explicit_count_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("FFE_THREADS", "2")
-        assert classify_lfp(2, "all", threads=1).provenance["threads"] == 1
-        assert _resolve_threads(1) == 1
-
-    def test_environment_applies_when_unset(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("FFE_THREADS", "3")
-        assert _resolve_threads(None) == 3
-        monkeypatch.delenv("FFE_THREADS")
-        assert _resolve_threads(None) == 1
-
-    def test_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert _resolve_threads(10**9) == 4
-        assert _resolve_threads(0) == 1
-        assert _resolve_threads(-3) == 1
-        monkeypatch.setenv("FFE_THREADS", str(10**9))
-        assert _resolve_threads(None) == 4
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _resolve_threads(8) == 1
 
 
 class TestClassifyD3:
@@ -310,3 +318,16 @@ class TestMembership:
         assert not membership_check(
             special_function("s6_fixture", 6), special_function("fourier", 6)
         )
+
+    def test_d6_random_matrix_and_moved_copy(self):
+        rng = random.Random(6)
+        f = FiniteFunction(6, 2, [rng.randrange(6) for _ in range(36)])
+        g, _ = random_lfp(6, 2, 1).lift().apply(f)
+        assert membership_check(g, f)
+        assert membership_check(f, g)
+
+    def test_d6_differing_fingerprints_scan_whole_orbit(self):
+        rng = random.Random(7)
+        f, g = (FiniteFunction(6, 2, [rng.randrange(6) for _ in range(36)]) for _ in range(2))
+        assert invariants_fingerprint(f) != invariants_fingerprint(g)
+        assert not membership_check(g, f)

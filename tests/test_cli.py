@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ffe import classify
 from ffe.cli import EXIT_BUDGET, EXIT_CONFORMANCE, EXIT_INPUT, EXIT_OK, main
 
 
@@ -95,6 +96,15 @@ class TestEquiv:
     def test_self_equivalence(self, capsys):
         code, out, _ = run(capsys, "equiv", "--d", "3", "--f", "x^2*y", "--g", "x^2*y")
         assert code == EXIT_OK and out.startswith("equivalent")
+
+    def test_lfp_budget_exit_at_d7(self, capsys, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the orbit scan started")
+
+        monkeypatch.setattr(classify, "_dephase_arrays", no_scan)
+        code, out, err = run(capsys, "equiv", "--d", "7", "--f", "x*y", "--g", "2*x*y", "--mode", "lfp")
+        assert code == EXIT_BUDGET and out == ""
+        assert "budget exceeded" in err
 
 
 class TestStabilizers:
