@@ -54,16 +54,6 @@ from ffe.stabilizer import (
 from ffe.verify import verify_appendix
 
 
-@functools.lru_cache(maxsize=None)
-def _cat4_full():
-    return classify_lu(classify_lfp(4, "all", threads=8))
-
-
-@functools.lru_cache(maxsize=None)
-def _cat6_teh():
-    return classify_lu(classify_lfp(6, "teh"))
-
-
 def _class_id_of(cat, f):
     key = _as_array(dephase(f).representative).astype(np.uint8).tobytes()
     _, best, _ = _orbit_from_key(cat.d, key)
@@ -155,9 +145,9 @@ def test_criterion_02_d3_class_table():
     assert elapsed < 10, f"d=3 classification took {elapsed:.1f}s"
 
 
-def test_criterion_03_d4_all_states_classes():
+def test_criterion_03_d4_all_states_classes(request):
     start = time.monotonic()
-    cat = _cat4_full()
+    cat = request.getfixturevalue("cat4_full")
     elapsed = time.monotonic() - start
     assert len(cat.lu_classes) == 127
     hadamard_ids = [
@@ -187,10 +177,10 @@ def test_criterion_04_d4_polynomial_scope_tables():
     assert elapsed < 600, f"d=4 polynomial-scope check took {elapsed:.1f}s"
 
 
-def test_criterion_05_d6_polynomial_scope_tables():
+def test_criterion_05_d6_polynomial_scope_tables(request):
     start = time.monotonic()
     report = verify_appendix(6)
-    cat = _cat6_teh()
+    cat = request.getfixturevalue("cat6_teh")
     elapsed = time.monotonic() - start
     assert report["ok"], [c for c in report["checks"] if not c["ok"]]
     assert len(cat.lu_classes) == 12
