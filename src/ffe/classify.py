@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from .fpops import dephase
-from .linalg import singular_values, trace_powers
+from .linalg import singular_values, trace_power_coeffs
 from .polynomials import block_texts, enumerate_polynomial_blocks
 from .ring import ArityError, FiniteFunction, check_shape
 
@@ -397,11 +397,12 @@ def classify_lfp(d, scope="all", threads=None):
 
 def classify_lu(cat):
     """Group LFP classes by the exact trace-power signature of representatives."""
+    d = cat.d
+    reps = b"".join(rec.representative for rec in cat.orbits)
+    sigs = trace_power_coeffs(np.frombuffer(reps, dtype=np.uint8).reshape(-1, d, d), d)
     groups = {}
-    for rec in cat.orbits:
-        rep = key_to_function(cat.d, rec.representative)
-        sig = tuple(t.coeffs for t in trace_powers(rep))
-        groups.setdefault(sig, []).append(rec.lfp_class_id)
+    for rec, sig in zip(cat.orbits, sigs.tolist()):
+        groups.setdefault(tuple(map(tuple, sig)), []).append(rec.lfp_class_id)
     lu_classes = []
     ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
     for lu_id, (sig, members) in enumerate(ordered):

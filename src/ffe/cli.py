@@ -3,7 +3,7 @@ equivalence and stabilizer checks, lower bounds, and reference-table
 verification.
 
 Exit codes: 0 success, 1 input error, 2 budget exceeded, 3 conformance
-mismatch.  Standard output is machine-parseable; progress goes to stderr.
+mismatch.  Standard output is machine-parseable; errors go to stderr.
 """
 from __future__ import annotations
 

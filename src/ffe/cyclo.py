@@ -1,9 +1,9 @@
 """Exact arithmetic in Z[omega_d] and Q(omega_d) for conductors d <= 12.
 
 Elements are integer polynomials in omega reduced modulo the d-th cyclotomic
-polynomial, so equality is exact and hashing is well defined.  Division lives
-in CyclotomicRat, which inverts nonzero elements via the extended Euclidean
-algorithm against the (irreducible) cyclotomic polynomial.
+polynomial, so equality is exact and hashing is well defined.  CyclotomicRat
+holds an element over a positive integer denominator; it is closed under
+addition and multiplication, and divides only by integers.
 """
 from __future__ import annotations
 
@@ -188,51 +188,6 @@ def cyclotomic_reduce(d, raw_coeffs):
     return CyclotomicInt.from_exponent_counts(d, counts)
 
 
-def _poly_divmod_frac(num, den):
-    """Division with remainder of Fraction coefficient polynomials."""
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for shift in range(len(num) - len(den), -1, -1):
-        coeff = num[shift + len(den) - 1] * inv_lead
-        q[shift] = coeff
-        if coeff:
-            for j, b in enumerate(den):
-                num[shift + j] -= coeff * b
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _invert_mod_cyclotomic(d, coeffs):
-    """Fraction coefficients u with u * a == 1 mod Phi_d."""
-    a = [Fraction(c) for c in coeffs]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    if a == [Fraction(0)]:
-        raise ZeroDivisionError("inverse of zero cyclotomic element")
-    b = [Fraction(c) for c in CYCLOTOMIC_POLY[d]]
-    # extended Euclid: track s with s*a == r (mod Phi_d)
-    r0, s0 = b, [Fraction(0)]
-    r1, s1 = a, [Fraction(1)]
-    while True:
-        if len(r1) == 1 and r1[0] != 0:
-            inv = 1 / r1[0]
-            return [c * inv for c in s1]
-        q, rem = _poly_divmod_frac(r0, r1)
-        s2 = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    s2[i + j] -= qc * sc
-        while len(s2) > 1 and s2[-1] == 0:
-            s2.pop()
-        r0, s0 = r1, s1
-        r1, s1 = rem, s2
-        if len(r1) == 1 and r1[0] == 0:
-            raise ZeroDivisionError("element not invertible mod Phi_d")
-
-
 class CyclotomicRat:
     """Element of Q(omega_d): CyclotomicInt numerator over a positive int."""
 
@@ -284,19 +239,6 @@ class CyclotomicRat:
         return CyclotomicRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        frac_coeffs = _invert_mod_cyclotomic(self.d, self.num.coeffs)
-        den_lcm = 1
-        for c in frac_coeffs:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        int_coeffs = [0] * phi_degree(self.d)
-        for j, c in enumerate(frac_coeffs):
-            int_coeffs[j] = int(c * den_lcm)
-        return CyclotomicRat(CyclotomicInt(self.d, int_coeffs) * self.den, den_lcm)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def is_zero(self):
         return self.num.is_zero()

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CyclotomicInt, CyclotomicRat
+from .cyclo import CyclotomicInt, CyclotomicRat, _power_table
 from .ring import ArityError, FiniteFunction
 
 
@@ -23,42 +23,70 @@ def _require_bipartite(f):
         raise ArityError("operation defined for bipartite functions (n=2)")
 
 
+# Second modulus of the trace-power kernel: the prime 2^26 - 5.
+_P = 2**26 - 5
+_INV_2_64 = pow(2**64, -1, _P)
+
+
+def _image_stack(f):
+    return np.array(f.values, dtype=np.int64).reshape(1, f.d, f.d)
+
+
+def _gram_counts(images):
+    """Group-ring Gram of an (N, d, d) stack of image matrices: counts[n, i, j, e]
+    is the number of rows k with f_n(k, i) - f_n(k, j) = e mod d, so that
+    G_ij = sum_e counts[n, i, j, e] omega^e."""
+    images = np.asarray(images, dtype=np.int64)
+    d = images.shape[-1]
+    diff = (images[:, :, :, None] - images[:, :, None, :]) % d
+    return np.eye(d, dtype=np.int64)[diff].sum(axis=1)
+
+
+def _to_basis(d, counts):
+    """Z[omega_d] coefficients of the exponent counts on the last axis."""
+    return counts @ np.array(_power_table(d)[:d], dtype=np.int64)
+
+
+def _gram_coeffs(f):
+    _require_bipartite(f)
+    return _to_basis(f.d, _gram_counts(_image_stack(f))[0])
+
+
 def gram(f):
     """Exact column Gram matrix of the coefficient matrix, as CyclotomicInt."""
-    _require_bipartite(f)
-    d = f.d
-    vals = f.values
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            counts = [0] * d
-            for k in range(d):
-                counts[(vals[k * d + i] - vals[k * d + j]) % d] += 1
-            row.append(CyclotomicInt.from_exponent_counts(d, counts))
-        out.append(row)
-    return out
+    return [[CyclotomicInt(f.d, e) for e in row] for row in _gram_coeffs(f).tolist()]
 
 
-def _mat_mul(a, b, d):
-    size = len(a)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = CyclotomicInt.zero(d)
-            for k in range(size):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def trace_power_coeffs(images, k_max):
+    """Exact tr G^k, k = 2..k_max, for each matrix of an (N, d, d) stack of
+    image matrices: an (N, k_max - 1, phi(d)) object array of the Python-int
+    Z[omega_d] coefficients.
 
-
-def _trace(m, d):
-    acc = CyclotomicInt.zero(d)
-    for i in range(len(m)):
-        acc = acc + m[i][i]
-    return acc
+    G^k is computed in the group ring Z[C_d], where an entry is its vector of
+    d exponent counts and a product of entries is a cyclic convolution, so one
+    einsum against a circulant copy of G multiplies two matrices. Every count
+    of tr G^k is a nonnegative integer and the counts sum to d^(2k) <= 12^24
+    < 2^87. The chain runs on two copies of the stack in one uint64 array:
+    the first wraps mod 2^64, the second is reduced mod _P after each product
+    (a product entry sums d^2 terms below d * _P, so it stays below 2^37).
+    Since 2^64 * _P > 2^89, the CRT joins the two residues into the exact
+    count for every d <= 12.
+    """
+    images = np.asarray(images)
+    n, d = len(images), images.shape[-1]
+    g = _gram_counts(images).astype(np.uint64)
+    g = np.concatenate([g, g])
+    shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
+    circulant = g[..., shift]  # circulant[m, k, j, a, e] = count of G_kj at e - a
+    traces = np.empty((2 * n, max(k_max - 1, 0), d), dtype=np.uint64)
+    power = g
+    for k in range(traces.shape[1]):
+        power = np.einsum("mika,mkjae->mije", power, circulant)
+        power[n:] %= _P
+        traces[:, k] = np.trace(power, axis1=1, axis2=2)
+    low, high = traces[:n], traces[n:] % _P
+    lift = (high.astype(np.int64) - (low % _P).astype(np.int64)) % _P * _INV_2_64 % _P
+    return _to_basis(d, low.astype(object) + lift.astype(object) * 2**64)
 
 
 def trace_powers(f, k_max=None):
@@ -67,13 +95,8 @@ def trace_powers(f, k_max=None):
     d = f.d
     if k_max is None:
         k_max = d
-    g = gram(f)
-    power = g
-    out = []
-    for k in range(2, k_max + 1):
-        power = _mat_mul(power, g, d)
-        out.append(_trace(power, d))
-    return tuple(out)
+    rows = trace_power_coeffs(_image_stack(f), k_max)[0]
+    return tuple(CyclotomicInt(d, c) for c in rows.tolist())
 
 
 def normalized_trace_powers(f, k_max=None):
@@ -88,44 +111,22 @@ def normalized_trace_powers(f, k_max=None):
 
 
 def schmidt_rank(f):
-    """Exact rank of the coefficient matrix over Q(omega_d)."""
-    _require_bipartite(f)
-    d = f.d
-    rows = [
-        [CyclotomicRat(CyclotomicInt.root_power(d, f.values[x * d + y])) for y in range(d)]
-        for x in range(d)
-    ]
-    rank = 0
-    for col in range(d):
-        pivot = None
-        for r in range(rank, d):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(d):
-            if r != rank and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    """Exact rank of the coefficient matrix over Q(omega_d).
+
+    rho = G / d^2 is positive semidefinite, so its elementary symmetric
+    functions e_k of the eigenvalues are positive up to its rank and zero
+    beyond it: the rank is the largest k with c_k = (-1)^k e_k nonzero.
+    """
+    coeffs = char_poly_coeffs(f)
+    return max(k for k, c in enumerate(coeffs, start=1) if not c.is_zero())
 
 
 def is_butson_hadamard(f):
-    """True iff the coefficient matrix is a Butson Hadamard H(d,d)."""
-    _require_bipartite(f)
-    d = f.d
-    g = gram(f)
-    for i in range(d):
-        for j in range(d):
-            want = CyclotomicInt.from_int(d, d if i == j else 0)
-            if g[i][j] != want:
-                return False
-    return True
+    """True iff the coefficient matrix is a Butson Hadamard H(d,d): G = d I."""
+    coeffs = _gram_coeffs(f)
+    want = np.zeros_like(coeffs)
+    want[np.arange(f.d), np.arange(f.d), 0] = f.d
+    return np.array_equal(coeffs, want)
 
 
 def _jacobi_eigenvalues(m, eps=1e-12, max_sweeps=100):

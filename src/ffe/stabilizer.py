@@ -1,14 +1,14 @@
 """Stabilizers of encoded states: S_{f,pi} = X_pi Z_{f o pi - f}.
 
 A complete set uses one d-cycle per site; its simultaneous +1 eigenspace is
-one-dimensional, which is verified here by exact sparse elimination over
-Q(omega_d) on the stacked (S - I) constraints.
+one-dimensional. Each S links two basis states by a power of omega, so the
+dimension is counted exactly by a union-find over the basis states with Z_d
+exponents, with no field arithmetic.
 """
 from __future__ import annotations
 
 import itertools
 
-from .cyclo import CyclotomicInt, CyclotomicRat
 from .fpops import FPElement
 from .ring import (
     ArityError,
@@ -18,8 +18,6 @@ from .ring import (
     invert_permutation,
     site_permutation_as_global,
 )
-
-FIXED_SPACE_BUDGET = 256
 
 
 def is_full_cycle(perm):
@@ -106,51 +104,50 @@ def complete_set(f, cycles):
 def unique_fixed_space_dim(stab_set):
     """Exact dimension of the simultaneous +1 eigenspace of the stabilizers.
 
-    Each operator row of (S - I) has at most two nonzero entries, so sparse
-    Gaussian elimination over Q(omega_d) stays cheap; the dimension is
-    d^n - rank of the stacked constraints.
+    S = X_pi Z_h maps |x> to omega^{h(x)} |pi(x)>, so S psi = psi says
+    psi_{pi(x)} = omega^{h(x)} psi_x for every x. A union-find over the d^n
+    basis states keeps, for each state, the exponent p with psi_x =
+    omega^p psi_root. A component whose constraints close a cycle with a
+    nonzero exponent sum mod d forces psi = 0 on it; every other component
+    leaves one free amplitude, so the dimension is the number of consistent
+    components.
     """
     base = stab_set.base
     d = base.d
     size = d**base.n
-    if size > FIXED_SPACE_BUDGET:
-        raise ArityError(f"fixed-space budget exceeded: d^n = {size} > {FIXED_SPACE_BUDGET}")
-    one = CyclotomicRat.one(d)
-    rows = []
+    parent = list(range(size))
+    potential = [0] * size
+    consistent = [True] * size
+
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        # re-point the path at the root; a root's own exponent stays 0
+        acc = 0
+        for y in reversed(path):
+            acc = (acc + potential[y]) % d
+            potential[y] = acc
+            parent[y] = x
+        return x
+
     for el in stab_set.elements:
         if el.phase:
             raise ArityError("stabilizer elements must carry zero global phase")
-        h = el.phase_fn
-        # S|x> = omega^{h(x)} |pi(x)>: one constraint per input index x
-        for x in range(size):
-            y = el.perm[x]
-            coeff = CyclotomicRat(CyclotomicInt.root_power(d, h.values[x]))
-            if y == x:
-                diag = coeff - one
-                if not diag.is_zero():
-                    rows.append({x: diag})
+        h = el.phase_fn.values
+        for x, y in enumerate(el.perm):
+            rx, ry = find(x), find(y)
+            # the exponent of psi_ry over psi_rx that psi_y = omega^{h(x)} psi_x asks for
+            offset = (potential[x] + h[x] - potential[y]) % d
+            if rx == ry:
+                if offset:
+                    consistent[rx] = False
             else:
-                rows.append({x: coeff, y: -one})
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            col = min(row)
-            if col not in pivots:
-                inv = row[col].inverse()
-                pivots[col] = {c: v * inv for c, v in row.items()}
-                rank += 1
-                break
-            factor = row[col]
-            for c, v in pivots[col].items():
-                acc = row.get(c, CyclotomicRat.zero(d)) - factor * v
-                if acc.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = acc
-        # fully reduced rows drop out
-    return size - rank
+                parent[ry] = rx
+                potential[ry] = offset
+                consistent[rx] = consistent[rx] and consistent[ry]
+    return sum(1 for x in range(size) if parent[x] == x and consistent[x])
 
 
 def internally_commutes(f, i, kappa):

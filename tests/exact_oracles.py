@@ -1,0 +1,167 @@
+"""Exact oracles for the tests, sharing no code with the library paths they
+check.
+
+- `trace_powers` builds the Gram matrix entry by entry and multiplies it with
+  CyclotomicInt arithmetic, one entry at a time.
+- `exact_rank` finds the rank over Q(omega_d) through the regular
+  representation: each element becomes the phi x phi integer matrix of
+  multiplication by it, with the cyclotomic polynomial found here by
+  dividing x^d - 1 by the cyclotomic polynomials of the proper divisors of d.
+  The Q-rank of the expanded integer matrix is phi times the rank over
+  Q(omega_d), and fraction-free elimination finds it.
+"""
+from functools import lru_cache
+
+from ffe.cyclo import CyclotomicInt
+
+
+def gram(f):
+    """Column Gram matrix of the coefficient matrix, entry by entry."""
+    d, vals = f.d, f.values
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            counts = [0] * d
+            for k in range(d):
+                counts[(vals[k * d + i] - vals[k * d + j]) % d] += 1
+            row.append(CyclotomicInt.from_exponent_counts(d, counts))
+        out.append(row)
+    return out
+
+
+def _mat_mul(a, b, d):
+    size = len(a)
+    out = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            acc = CyclotomicInt.zero(d)
+            for k in range(size):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _trace(m, d):
+    acc = CyclotomicInt.zero(d)
+    for i in range(len(m)):
+        acc = acc + m[i][i]
+    return acc
+
+
+def trace_powers(f, k_max=None):
+    """(tr G^2, ..., tr G^k_max) by repeated exact matrix products."""
+    d = f.d
+    k_max = d if k_max is None else k_max
+    g = gram(f)
+    power, out = g, []
+    for _ in range(2, k_max + 1):
+        power = _mat_mul(power, g, d)
+        out.append(_trace(power, d))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(d):
+    """Ascending integer coefficients of the d-th cyclotomic polynomial."""
+    num = [-1] + [0] * (d - 1) + [1]  # x^d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            den = cyclotomic_poly(e)  # monic, so the division stays integral
+            quot = [0] * (len(num) - len(den) + 1)
+            for shift in range(len(quot) - 1, -1, -1):
+                c = num[shift + len(den) - 1]
+                quot[shift] = c
+                for j, b in enumerate(den):
+                    num[shift + j] -= c * b
+            num = quot
+    return tuple(num)
+
+
+@lru_cache(maxsize=None)
+def _omega_powers(d):
+    """Matrices of multiplication by omega^e, e = 0..d-1, on the basis
+    1, omega, ..., omega^(phi-1): powers of the companion matrix."""
+    poly = cyclotomic_poly(d)
+    phi = len(poly) - 1
+    companion = [[0] * phi for _ in range(phi)]
+    for i in range(phi):
+        if i + 1 < phi:
+            companion[i + 1][i] = 1
+        companion[i][phi - 1] = -poly[i]
+    power = [[int(i == j) for j in range(phi)] for i in range(phi)]
+    out = []
+    for _ in range(d):
+        out.append(power)
+        power = [
+            [sum(power[i][k] * companion[k][j] for k in range(phi)) for j in range(phi)]
+            for i in range(phi)
+        ]
+    return out
+
+
+def regular_matrix(d, entry):
+    """Integer matrix of multiplication by sum_e c_e omega^e, for an
+    {exponent: coefficient} dict."""
+    powers = _omega_powers(d)
+    phi = len(powers[0])
+    return [
+        [sum(c * powers[e % d][i][j] for e, c in entry.items()) for j in range(phi)]
+        for i in range(phi)
+    ]
+
+
+def integer_rank(rows):
+    """Rank over Q of an integer matrix by fraction-free (Bareiss)
+    elimination: every entry stays a minor of the input, so each division
+    is exact."""
+    rows = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            c = rows[r][col]
+            rows[r] = [(top[col] * a - c * b) // prev for a, b in zip(rows[r], top)]
+        prev = top[col]
+        rank += 1
+    return rank
+
+
+def exact_rank(d, matrix):
+    """Rank over Q(omega_d) of a matrix whose entries are {exponent: integer
+    coefficient} dicts, each standing for sum_e c_e omega^e."""
+    phi = len(cyclotomic_poly(d)) - 1
+    expanded = []
+    for row in matrix:
+        blocks = [regular_matrix(d, entry) for entry in row]
+        for i in range(phi):
+            expanded.append([v for block in blocks for v in block[i]])
+    return integer_rank(expanded) // phi
+
+
+def schmidt_rank(f):
+    """Rank of the coefficient matrix A_xy = omega^f(x, y)."""
+    d = f.d
+    return exact_rank(d, [[{f.values[x * d + y]: 1} for y in range(d)] for x in range(d)])
+
+
+def fixed_space_dim(stab_set):
+    """Nullity of the stacked S - I, one row per basis state x and element:
+    omega^h(x) at column x and -1 at column pi(x)."""
+    base = stab_set.base
+    d, size = base.d, base.d**base.n
+    rows = []
+    for el in stab_set.elements:
+        for x in range(size):
+            row = [{} for _ in range(size)]
+            row[x][el.phase_fn.values[x]] = 1
+            y = el.perm[x]
+            row[y][0] = row[y].get(0, 0) - 1
+            rows.append(row)
+    return size - exact_rank(d, rows)

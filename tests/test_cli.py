@@ -1,11 +1,14 @@
 """Command-line surface: subcommands, exit codes, output formats."""
 import json
+import random
 import sys
+import time
 
 import pytest
 
 from ffe import classify
 from ffe.cli import EXIT_BUDGET, EXIT_CONFORMANCE, EXIT_INPUT, EXIT_OK, main
+from ffe.ring import FiniteFunction, emit_function
 
 
 def run(capsys, *argv):
@@ -134,6 +137,22 @@ class TestStabilizers:
             "--cycles", "[[0,1,2],[1,2,0]]",
         )
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("d", [5, 12])
+    def test_four_sites_unique(self, capsys, d):
+        # every supported shape up to 12^4 points is checked exactly; (5, 4)
+        # once exited 1 over a 256-point budget. The bound is generous: the
+        # (12, 4) call takes about 0.25 s
+        rng = random.Random(d)
+        f = FiniteFunction(d, 4, [rng.randrange(d) for _ in range(d**4)])
+        start = time.monotonic()
+        code, out, _ = run(
+            capsys, "stabilizers", "--d", str(d), "--f", emit_function(f), "--check-unique",
+        )
+        elapsed = time.monotonic() - start
+        assert code == EXIT_OK
+        assert json.loads(out)["fixed_space_dim"] == 1
+        assert elapsed < 30, f"(d, n) = ({d}, 4) fixed space took {elapsed:.1f}s"
 
 
 class TestLowerBound:

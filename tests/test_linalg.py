@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffe.classify import special_function
+from ffe.classify import key_to_function, special_function
 from ffe.cyclo import CyclotomicInt
 from ffe.linalg import (
     char_poly_coeffs,
@@ -21,14 +21,28 @@ from ffe.linalg import (
     singular_values,
     state_vector,
     subspace_maximally_entangled,
+    trace_power_coeffs,
     trace_powers,
     verify_lu_map_f4_f22,
 )
 from ffe.ring import ArityError, FiniteFunction
 
+import exact_oracles as oracle
+
 
 def random_function(d, rng):
     return FiniteFunction(d, 2, [rng.randrange(d) for _ in range(d * d)])
+
+
+def oracle_cases(d, rng):
+    """Zero, Fourier, two random states, and states of rank 1..3 whose rows
+    repeat a few random rows."""
+    cases = [FiniteFunction.zero(d, 2), special_function("fourier", d)]
+    cases += [random_function(d, rng) for _ in range(2)]
+    for r in range(1, min(d, 3) + 1):
+        rows = [[rng.randrange(d) for _ in range(d)] for _ in range(r)]
+        cases.append(FiniteFunction.from_matrix(d, rows + [rng.choice(rows) for _ in range(d - r)]))
+    return cases
 
 
 def numeric_gram(f):
@@ -103,6 +117,46 @@ class TestTracePowers:
                 assert t == t.conjugate()
 
 
+class TestTracePowerOracle:
+    """The batched integer kernel against entry-by-entry CyclotomicInt
+    products; d = 10..12 need both CRT residues."""
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_single_states(self, d):
+        rng = random.Random(100 + d)
+        for f in oracle_cases(d, rng):
+            g = oracle.gram(f)
+            assert gram(f) == g
+            assert is_butson_hadamard(f) == all(
+                g[i][j] == CyclotomicInt.from_int(d, d if i == j else 0)
+                for i in range(d) for j in range(d)
+            )
+            assert trace_powers(f) == oracle.trace_powers(f)
+        assert trace_powers(f, 1) == () == oracle.trace_powers(f, 1)
+
+    def test_stack_matches_single_states(self):
+        rng = random.Random(9)
+        fs = [random_function(5, rng) for _ in range(6)]
+        stack = np.array([f.values for f in fs]).reshape(-1, 5, 5)
+        got = trace_power_coeffs(stack, 5).tolist()
+        assert got == [[list(t.coeffs) for t in oracle.trace_powers(f)] for f in fs]
+
+    @pytest.mark.parametrize("name", ["cat3_all", "cat4_full", "cat6_teh"])
+    def test_catalogue_signatures(self, request, name):
+        cat = request.getfixturevalue(name)
+        reps = [key_to_function(cat.d, rec.representative) for rec in cat.orbits]
+        sigs = [tuple(t.coeffs for t in oracle.trace_powers(f)) for f in reps]
+        stack = np.array([f.values for f in reps]).reshape(-1, cat.d, cat.d)
+        got = trace_power_coeffs(stack, cat.d).tolist()
+        assert [tuple(map(tuple, s)) for s in got] == sigs
+        groups = {}
+        for rec, sig in zip(cat.orbits, sigs):
+            groups.setdefault(sig, []).append(rec.lfp_class_id)
+        assert sorted(groups.values()) == sorted(
+            rec.member_lfp_class_ids for rec in cat.lu_classes
+        )
+
+
 class TestSchmidt:
     def test_zero_rank_one(self):
         assert schmidt_rank(FiniteFunction.zero(4, 2)) == 1
@@ -114,6 +168,12 @@ class TestSchmidt:
     def test_m_over_r(self):
         assert schmidt_rank(special_function("m_over_r", 6, {"r": 3})) == 3
         assert schmidt_rank(special_function("m_over_r", 6, {"r": 2})) == 2
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_matches_exact_rank_oracle(self, d):
+        rng = random.Random(200 + d)
+        for f in oracle_cases(d, rng):
+            assert schmidt_rank(f) == oracle.schmidt_rank(f)
 
     def test_matches_numeric_rank(self):
         rng = random.Random(4)

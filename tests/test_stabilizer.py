@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from ffe.ring import ArityError, FiniteFunction, PermutationError
+from ffe.fpops import FPElement
+from ffe.ring import ArityError, FiniteFunction, PermutationError, site_permutation_as_global
 from ffe.stabilizer import (
     CycleSpec,
+    StabilizerSet,
     complete_set,
     continuous_symmetry_predicate,
     internally_commutes,
@@ -17,6 +19,8 @@ from ffe.stabilizer import (
     plus_cycle,
     unique_fixed_space_dim,
 )
+
+import exact_oracles as oracle
 
 
 def random_function(d, n, rng):
@@ -125,8 +129,6 @@ class TestFixedSpace:
             assert unique_fixed_space_dim(sset) == numeric_fixed_space_dim(sset)
 
     def test_dropping_one_stabilizer_frees_one_site(self):
-        from ffe.stabilizer import StabilizerSet
-
         rng = random.Random(4)
         f = random_function(3, 2, rng)
         sset = complete_set(f, CycleSpec.plus_cycles(3, 2))
@@ -134,9 +136,36 @@ class TestFixedSpace:
         assert unique_fixed_space_dim(partial) == 3
         assert numeric_fixed_space_dim(partial) == 3
 
-    def test_budget(self):
-        f = FiniteFunction.zero(6, 4)
-        sset = complete_set(f, CycleSpec.plus_cycles(6, 4))
+    @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (6, 2)])
+    def test_matches_exact_oracle(self, d, n):
+        rng = random.Random(10 * d + n)
+        cycles = CycleSpec.plus_cycles(d, n)
+        swap = (1, 0) + tuple(range(2, d))  # fixes every point whose last x >= 2
+        for _ in range(3):
+            f = random_function(d, n, rng)
+            full = complete_set(f, cycles)
+            perms = [el.perm for el in full.elements]
+            perms.append(site_permutation_as_global(d, n, n - 1, swap))
+            sets = [
+                full,
+                StabilizerSet(f, cycles, full.elements[1:]),
+                # random phase functions: mostly not stabilizers of anything
+                StabilizerSet(f, cycles, [
+                    FPElement(0, p, random_function(d, n, rng)) for p in perms[:2]
+                ]),
+                # self-loops: a zero phase on them is consistent, any other is not
+                StabilizerSet(f, cycles, [make_stabilizer(f, perms[-1])]),
+                StabilizerSet(f, cycles, [FPElement(0, perms[-1], random_function(d, n, rng))]),
+                StabilizerSet(f, cycles, [FPElement.z_element(random_function(d, n, rng))]),
+            ]
+            for sset in sets:
+                dim = unique_fixed_space_dim(sset)
+                assert dim == oracle.fixed_space_dim(sset) == numeric_fixed_space_dim(sset)
+
+    def test_nonzero_global_phase_rejected(self):
+        f = FiniteFunction.zero(3, 2)
+        el = complete_set(f, CycleSpec.plus_cycles(3, 2)).elements[0]
+        sset = StabilizerSet(f, None, [FPElement(1, el.perm, el.phase_fn)])
         with pytest.raises(ArityError):
             unique_fixed_space_dim(sset)
 
