@@ -2,8 +2,8 @@
 
 Elements are integer polynomials in omega reduced modulo the d-th cyclotomic
 polynomial, so equality is exact and hashing is well defined.  CyclotomicRat
-holds an element over a positive integer denominator; it is closed under
-addition and multiplication, and divides only by integers.
+is a CyclotomicInt over a positive integer denominator, with addition and
+multiplication only: nothing in the package divides by a cyclotomic element.
 """
 from __future__ import annotations
 

@@ -134,13 +134,6 @@ class TestTracePowerOracle:
             assert trace_powers(f) == oracle.trace_powers(f)
         assert trace_powers(f, 1) == () == oracle.trace_powers(f, 1)
 
-    def test_stack_matches_single_states(self):
-        rng = random.Random(9)
-        fs = [random_function(5, rng) for _ in range(6)]
-        stack = np.array([f.values for f in fs]).reshape(-1, 5, 5)
-        got = trace_power_coeffs(stack, 5).tolist()
-        assert got == [[list(t.coeffs) for t in oracle.trace_powers(f)] for f in fs]
-
     @pytest.mark.parametrize("name", ["cat3_all", "cat4_full", "cat6_teh"])
     def test_catalogue_signatures(self, request, name):
         cat = request.getfixturevalue(name)

@@ -153,7 +153,7 @@ class TestFixedSpace:
                 StabilizerSet(f, cycles, [
                     FPElement(0, p, random_function(d, n, rng)) for p in perms[:2]
                 ]),
-                # self-loops: a zero phase on them is consistent, any other is not
+                # self-loops: a fixed point x is consistent only if h(x) = 0
                 StabilizerSet(f, cycles, [make_stabilizer(f, perms[-1])]),
                 StabilizerSet(f, cycles, [FPElement(0, perms[-1], random_function(d, n, rng))]),
                 StabilizerSet(f, cycles, [FPElement.z_element(random_function(d, n, rng))]),
