@@ -1,10 +1,16 @@
-"""Brute-force classification of bipartite encodings.
+"""Classification of bipartite encodings.
 
 Local-Pauli (LFP) classes are orbits of dephased image matrices under local
 phases and row and column permutations.  Dephasing absorbs every phase, so
-the orbit of a dephased matrix M is exactly {dephase(M[σ][:, τ]) : σ, τ ∈ S_d}
-and is closed in one gather over all (d!)^2 permutation pairs, in blocks of a
-fixed number of images.
+the orbit of a dephased matrix M is exactly {dephase(M[σ][:, τ]) : σ, τ ∈ S_d}.
+Two routines work on these orbits:
+- the canonical form (lfp_canonical) finds an orbit's lexmin and size by a
+  partition-refinement search, without enumerating the orbit.  Membership,
+  the polynomial-scope catalogue and the reference-table lookups use it, at
+  every d up to ring.MAX_D;
+- the orbit closure (_orbit) gathers all (d!)^2 images, in blocks of a fixed
+  number of images.  The all-states catalogue closes its orbits with it, and
+  the tests use it as the canonical form's oracle.
 Local-unitary (LU) classes group LFP classes by the exact trace-power
 signature of the Gram matrix of a representative.
 """
@@ -46,12 +52,17 @@ def _dephase_arrays(mats, d):
 # Images per block of _orbit_blocks.  A block is one int64 gather index and
 # its uint8 images, 4096 * 36 * (8 + 1) bytes = 1.3 MB at d = 6.  _orbit
 # keeps the keys of all (d!)^2 images (18.7 MB at d = 6), sorts them in place
-# (np.unique would copy them once more) and copies out the distinct ones;
-# membership_check keeps one block.
+# (np.unique would copy them once more) and copies out the distinct ones.
 ORBIT_CHUNK = 1 << 12
 # The most images, (d!)^2, that one orbit closure may enumerate: d <= 6
 # (518,400) runs, and d = 7 (25,401,600) raises BudgetError before any work.
+# Only the closure paths (scope="all", lfp_orbit_keys, lfp_orbit) need it.
 ORBIT_BUDGET = math.factorial(6) ** 2
+# The most states (placements of a row) one step of the canonical-form search
+# may hold.  Merging equal states kept it at 240 or fewer on every matrix
+# tried up to d = 12; the bound stops a matrix whose symmetries the merging
+# misses.
+CANONICAL_STATE_BUDGET = 10**6
 
 
 @functools.cache
@@ -59,6 +70,24 @@ def _permutations(d):
     perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
     perms.flags.writeable = False
     return perms
+
+
+def _pivot_tables(mats):
+    """D[k, r, c] = mats[k] dephased against row r and column c, for every
+    pivot (r, c) of every matrix of an (n, d, d) stack: (n, d, d, d, d) int64.
+
+    dephase(M[σ][:, τ]) is the pivot table of M at (σ0, τ0) read at rows σ
+    and columns τ, and M and dephase(M) have the same tables.
+    """
+    d = mats.shape[-1]
+    m = mats.astype(np.int64)
+    tables = (
+        m[:, None, None, :, :]
+        - np.swapaxes(m, 1, 2)[:, None, :, :, None]
+        - m[:, :, None, None, :]
+        + m[:, :, :, None, None]
+    )
+    return tables % d
 
 
 def _orbit_blocks(seed):
@@ -71,14 +100,8 @@ def _orbit_blocks(seed):
     total = math.factorial(d) ** 2
     if total > ORBIT_BUDGET:
         raise BudgetError(f"an orbit at d={d} needs {total} images > {ORBIT_BUDGET}")
-    # dephase(seed[σ][:, τ]) is seed dephased against row σ0 and column τ0,
-    # read at rows σ and columns τ.  Bordering seed with row r and column c
-    # puts that pivot at (0, 0), so one _dephase_arrays call tables all d²
-    # pivots, and each block is a single gather from the table.
-    border = np.column_stack([np.arange(d), np.tile(np.arange(d), (d, 1))])
-    bordered = seed.astype(np.int16)[border[:, None, :, None], border[None, :, None, :]]
-    table = _dephase_arrays(bordered.reshape(d * d, d + 1, d + 1), d)[:, 1:, 1:]
-    table = table.astype(np.uint8).ravel()
+    # each block is a single gather from the pivot tables
+    table = _pivot_tables(seed[None])[0].astype(np.uint8).ravel()
     perms = _permutations(d)
     rows = perms[:, :1] * d**3 + perms * d  # table offset of (σ0, ·, σ_i, ·)
     cols = perms[:, :1] * d**2 + perms  # table offset of (·, τ0, ·, τ_j)
@@ -98,6 +121,115 @@ def _orbit(seed, encode=_void_keys):
     keys = np.concatenate([encode(b) for b in _orbit_blocks(seed)])
     keys.sort()
     return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+
+
+def _next_rows(states):
+    """Place one more row in every state and keep the least placements.
+
+    states maps (cell sizes, remaining rows) to a count of labellings.  The
+    remaining rows hold their columns in cell order, so the best next row of
+    an image is a remaining row sorted within each cell; every placement of a
+    least such row is kept, its cells split by that row's values.  States
+    that end up equal are merged, adding their counts: identical rows and
+    symmetric pivots then cost one state, not one per labelling.
+    """
+    best, placed = None, []
+    for (sizes, rows), count in states.items():
+        for k, row in enumerate(rows):
+            value, at = [], 0
+            for size in sizes:
+                value += sorted(row[at:at + size])
+                at += size
+            value = tuple(value)
+            if best is None or value < best:
+                best, placed = value, []
+            if value == best:
+                placed.append((sizes, rows, k, count))
+        if len(placed) > CANONICAL_STATE_BUDGET:
+            raise BudgetError(
+                f"the canonical form search needs more than {CANONICAL_STATE_BUDGET} states"
+            )
+    merged = {}
+    for sizes, rows, k, count in placed:
+        row, order, split, at = rows[k], [], [], 0
+        for size in sizes:
+            cell = sorted(range(at, at + size), key=row.__getitem__)
+            order += cell
+            split += [len(list(g)) for _, g in itertools.groupby(cell, key=row.__getitem__)]
+            at += size
+        rest = sorted(tuple(r[j] for j in order) for r in rows[:k] + rows[k + 1:])
+        key = (tuple(split), tuple(rest))
+        merged[key] = merged.get(key, 0) + count
+    return best, merged
+
+
+def _canonical_forms(mats):
+    """(lexmin key, orbit size) of the LFP orbit of each of an (n, d, d)
+    stack of matrices, without enumerating the orbits.
+
+    The search places the image rows one at a time over all pivots at once
+    (McKay and Piperno's partition refinement, without automorphism
+    pruning).  The lexmin is the rows it places.  The (σ, τ) that reach the
+    lexmin are counted by the final states: each count of labellings times
+    the orderings of columns that no row tells apart.  The orbit size is
+    (d!)^2 over that count.
+    """
+    n, d, _ = mats.shape
+    tables = _pivot_tables(mats)
+    # The first row, for every (pivot (r, c), row i) pair at once: row i of
+    # pivot table (r, c), sorted, read as a base-d number.  Row r, all zeros,
+    # is the pivot itself and never a candidate.
+    first = np.sort(tables, axis=-1) @ d ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    first[:, np.arange(d), :, np.arange(d)] = d**d
+    ks, rs, cs, picks = np.nonzero(first == first.min(axis=(1, 2, 3), keepdims=True))
+    # The state after that row, for every least (k, r, c, i): the columns but
+    # c in order of their values in row i, and the rows but r and i.
+    pivot_tables = tables[ks, rs, cs]
+    each = np.arange(len(ks))[:, None]
+    cols = np.arange(d - 1) + (np.arange(d - 1) >= cs[:, None])  # j != c
+    values = pivot_tables[each, picks[:, None], cols]
+    order = np.argsort(values, axis=1)
+    cols, values = np.take_along_axis(cols, order, 1), np.take_along_axis(values, order, 1)
+    used = (np.arange(d) == rs[:, None]) | (np.arange(d) == picks[:, None])
+    unused = np.argsort(used, axis=1)[:, :d - 2]
+    rest = pivot_tables[each[:, :, None], unused[:, :, None], cols[:, None, :]]
+    # Equal states merge here already: sort each state's rows, read as
+    # base-d numbers, and count the distinct (k, rows).  Row i is the same
+    # least row for every state of one k, and so are the cells it splits.
+    codes = rest @ d ** np.arange(d - 2, -1, -1, dtype=np.int64)
+    order = np.argsort(codes, axis=1)
+    rest = np.take_along_axis(rest, order[:, :, None], 1)
+    codes = np.take_along_axis(codes, order, 1)
+    _, unique, counts = np.unique(np.column_stack([ks, codes]), axis=0,
+                                  return_index=True, return_counts=True)
+    images = [None] * n
+    starts = [{} for _ in range(n)]
+    for k, value, rows, count in zip(ks[unique].tolist(), values[unique].tolist(),
+                                     rest[unique].tolist(), counts.tolist()):
+        images[k] = [(0,) * d, (0,) + tuple(value)]
+        sizes = tuple(len(list(g)) for _, g in itertools.groupby(value))
+        starts[k][sizes, tuple(map(tuple, rows))] = count
+    forms = []
+    for image, states in zip(images, starts):
+        for _ in range(d - 2):
+            best, states = _next_rows(states)
+            image.append((0,) + best)
+        aut = sum(
+            count * math.prod(math.factorial(size) for size in sizes)
+            for (sizes, _), count in states.items()
+        )
+        forms.append((bytes(itertools.chain.from_iterable(image)),
+                      math.factorial(d) ** 2 // aut))
+    return forms
+
+
+def lfp_canonical(mat, d):
+    """(lexmin key, orbit size) of the LFP orbit of the d×d image matrix mat.
+
+    The key is the bytes of the least dephase(M[σ][:, τ]) over σ, τ ∈ S_d;
+    two matrices lie in one orbit exactly when their keys are equal.
+    """
+    return _canonical_forms(np.asarray(mat).reshape(1, d, d))[0]
 
 
 def lfp_orbit_keys(f):
@@ -308,12 +440,6 @@ def dephased_polynomial_index(d):
     return index
 
 
-def _orbit_from_key(d, key):
-    """(orbit size, lexmin key, full key set) for the orbit of a dephased key."""
-    keys = _orbit(np.frombuffer(key, dtype=np.uint8).reshape(d, d))
-    return len(keys), keys[0].tobytes(), set(keys.tolist())
-
-
 def _positions(sorted_keys, keys):
     """Positions in sorted_keys of those of keys that it holds."""
     pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
@@ -357,6 +483,7 @@ def classify_lfp(d, scope="all", threads=None):
     poly_index = dephased_polynomial_index(d)
     index_keys = sorted(poly_index)
     index_mats = np.frombuffer(b"".join(index_keys), dtype=np.uint8).reshape(-1, d, d)
+    index_texts = [poly_index[k] for k in index_keys]
     if scope == "all":
         # a dephased matrix is keyed by its core read as a base-d number,
         # most significant digit first, so codes sort as the matrices' bytes
@@ -370,16 +497,17 @@ def classify_lfp(d, scope="all", threads=None):
             mat[1:, 1:] = (code // weights % d).reshape(d - 1, d - 1)
             return mat
 
-        seeds = np.arange(d ** ((d - 1) ** 2), dtype=np.int64)
+        seed_count = d ** ((d - 1) ** 2)
+        seeds = np.arange(seed_count, dtype=np.int64)
+        found = sorted(_close_orbits(seeds, decode, encode, encode(index_mats), index_texts))
     else:
-        encode = _void_keys
-
-        def decode(key):
-            return np.frombuffer(key.tobytes(), dtype=np.uint8).reshape(d, d)
-
-        seeds = encode(index_mats)
-    index_texts = [poly_index[k] for k in index_keys]
-    found = sorted(_close_orbits(seeds, decode, encode, encode(index_mats), index_texts))
+        # the index keys fall into orbits by canonical form; the polynomial
+        # enumeration budget leaves at most 162 keys (d = 6) to search
+        seed_count = len(index_keys)
+        groups = {}
+        for (best, size), texts in zip(_canonical_forms(index_mats), index_texts):
+            groups.setdefault((best, size), []).extend(texts)
+        found = sorted((best, size, sorted(texts)) for (best, size), texts in groups.items())
     orbits = [
         OrbitRecord(
             cid, best, size, bool(texts), texts,
@@ -388,7 +516,7 @@ def classify_lfp(d, scope="all", threads=None):
         for cid, (best, size, texts) in enumerate(found)
     ]
     provenance = {
-        "seed_count": len(seeds),
+        "seed_count": seed_count,
         "runtime_seconds": round(time.time() - start, 3),
         "version": 1,
     }
@@ -497,13 +625,12 @@ S6_MATRIX = [
 
 
 def membership_check(f, class_rep):
-    """True iff f and class_rep lie in the same LFP orbit."""
+    """True iff f and class_rep lie in the same LFP orbit, that is, iff their
+    canonical forms (lfp_canonical) have the same lexmin.  No orbit is
+    enumerated, so every d up to ring.MAX_D is answered."""
     if f.n != 2 or class_rep.n != 2:
         raise ArityError("membership defined for n=2")
     if f.d != class_rep.d:
         raise ArityError("mismatched d")
-    target = _as_array(dephase(f).representative).astype(np.uint8)
-    seed = _as_array(dephase(class_rep).representative).astype(np.uint8)
-    return any(
-        (block == target).all(axis=(1, 2)).any() for block in _orbit_blocks(seed)
-    )
+    (key_f, _), (key_rep, _) = _canonical_forms(np.stack([_as_array(f), _as_array(class_rep)]))
+    return key_f == key_rep

@@ -15,12 +15,11 @@ import numpy as np
 
 from .classify import (
     _as_array,
-    _orbit_from_key,
+    _canonical_forms,
     classify_lfp,
     classify_lu,
     key_to_function,
 )
-from .fpops import dephase
 from .linalg import singular_values
 from .polynomials import is_polynomial, parse_polynomial
 from .ring import FiniteFunction
@@ -74,15 +73,17 @@ def verify_d3(fixture=None):
 
     check("class_count", len(cat.orbits) == len(fixture["classes"]))
     rep_to_id = {rec.representative: rec.lfp_class_id for rec in cat.orbits}
+    listed = [
+        _as_array(FiniteFunction.from_matrix(3, member["matrix"]))
+        for cls in fixture["classes"]
+        for member in cls["members"]
+    ]
+    # one batched canonical-form search for every listed matrix
+    bests = iter([best for best, _ in _canonical_forms(np.stack(listed))])
     seen_ids = set()
     for cls in fixture["classes"]:
         members = cls["members"]
-        ids = set()
-        for member in members:
-            f = FiniteFunction.from_matrix(3, member["matrix"])
-            key = _as_array(dephase(f).representative).astype(np.uint8).tobytes()
-            _, best, _ = _orbit_from_key(3, key)
-            ids.add(rep_to_id[best])
+        ids = {rep_to_id[next(bests)] for _ in members}
         label = f"class_{cls['index']}"
         check(f"{label}_single_orbit", len(ids) == 1)
         cid = ids.pop()

@@ -1,6 +1,7 @@
 """Orbit enumeration, invariants, catalogues, special states, lower bounds."""
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -110,10 +111,102 @@ class TestOrbits:
         monkeypatch.setattr(classify, "_permutations", no_scan)
         monkeypatch.setattr(classify, "_dephase_arrays", no_scan)
         f = special_function("fourier", 7)
-        with pytest.raises(BudgetError):
-            membership_check(f, f)
+        # membership compares canonical forms, which enumerate no orbit
+        assert membership_check(f, f)
         with pytest.raises(BudgetError):
             lfp_orbit_keys(f)
+
+
+def closure_form(mat):
+    """Oracle for lfp_canonical: the lexmin and size of the orbit closure."""
+    keys = classify._orbit(np.asarray(mat, dtype=np.uint8))
+    return keys[0].tobytes(), len(keys)
+
+
+def dephased(d, mat):
+    f = FiniteFunction(d, 2, np.asarray(mat).ravel().tolist())
+    return np.array(dephase(f).representative.values, dtype=np.uint8).reshape(d, d)
+
+
+def random_matrix(d, seed, repeated_rows=False):
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(0, d, (d, d))
+    if repeated_rows:
+        # an equal row and one that differs by a constant
+        mat[2], mat[3] = mat[1], (mat[1] + 1) % d
+    return mat
+
+
+class TestCanonicalForm:
+    def test_all_dephased_d3(self):
+        for vals in itertools.product(range(3), repeat=4):
+            mat = np.zeros((3, 3), dtype=np.uint8)
+            mat[1:, 1:] = np.reshape(vals, (2, 2))
+            assert classify.lfp_canonical(mat, 3) == closure_form(mat)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_every_polynomial_index_key(self, d):
+        # one closure per orbit: each index key it holds shares its form
+        index = b"".join(dephased_polynomial_index(d))
+        mats = np.frombuffer(index, dtype=np.uint8).reshape(-1, d, d)
+        keys = classify._void_keys(mats)
+        todo = set(range(len(keys)))
+        while todo:
+            orbit = classify._orbit(mats[min(todo)])
+            expected = orbit[0].tobytes(), len(orbit)
+            held = orbit[np.minimum(np.searchsorted(orbit, keys), len(orbit) - 1)] == keys
+            members = [i for i in todo if held[i]]
+            for i in members:
+                assert classify.lfp_canonical(mats[i], d) == expected
+            todo -= set(members)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    @pytest.mark.parametrize("repeated_rows", [False, True])
+    def test_random_matrices(self, d, repeated_rows):
+        for seed in range(2):
+            mat = dephased(d, random_matrix(d, seed, repeated_rows))
+            assert classify.lfp_canonical(mat, d) == closure_form(mat)
+
+    @pytest.mark.parametrize(
+        "name,d",
+        [("fourier", 4), ("fourier", 5), ("fourier", 6), ("s6_fixture", 6), ("f32_fixture", 6)],
+    )
+    def test_special_matrices(self, name, d):
+        mat = dephased(d, special_function(name, d).values)
+        assert classify.lfp_canonical(mat, d) == closure_form(mat)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_zero_matrix(self, d):
+        mat = np.zeros((d, d), dtype=np.uint8)
+        assert classify.lfp_canonical(mat, d) == (bytes(d * d), 1)
+
+    @pytest.mark.parametrize("d", range(7, 13))
+    def test_invariant_under_lfp_operations(self, d):
+        mats = [
+            random_matrix(d, d),
+            random_matrix(d, d, repeated_rows=True),
+            special_function("fourier", d).values,
+            np.zeros(d * d, dtype=int),
+        ]
+        for i, mat in enumerate(mats):
+            f = FiniteFunction(d, 2, np.asarray(mat).ravel().tolist())
+            g, _ = random_lfp(d, 2, i).lift().apply(f)
+            form = classify.lfp_canonical(mat, d)
+            assert classify.lfp_canonical(g.values, d) == form
+            key, size = form
+            assert math.factorial(d) ** 2 % size == 0
+            assert FiniteFunction(d, 2, list(key)) == dephase(key_to_function(d, key)).representative
+
+    def test_state_budget(self, monkeypatch):
+        # x^2 y at d = 7 holds between 50 and 100 states at its widest step
+        f = parse_polynomial("x^2*y", 7, 2).to_function()
+        monkeypatch.setattr(classify, "CANONICAL_STATE_BUDGET", 10)
+        with pytest.raises(BudgetError):
+            classify.lfp_canonical(f.values, 7)
+        with pytest.raises(BudgetError):
+            membership_check(f, f)
+        monkeypatch.undo()
+        assert membership_check(f, f)
 
 
 def index_by_dephasing(d):

@@ -7,7 +7,10 @@ import time
 import pytest
 
 from ffe import classify
+from ffe.classify import special_function
 from ffe.cli import EXIT_BUDGET, EXIT_CONFORMANCE, EXIT_INPUT, EXIT_OK, main
+from ffe.fpops import random_lfp
+from ffe.linalg import trace_powers
 from ffe.ring import FiniteFunction, emit_function
 
 
@@ -101,13 +104,42 @@ class TestEquiv:
         assert code == EXIT_OK and out.startswith("equivalent")
 
     def test_lfp_budget_exit_at_d7(self, capsys, monkeypatch):
+        # the canonical-form search stops past its state budget, patched down
+        # here so that an ordinary pair exceeds it; no orbit scan starts
         def no_scan(*args):
             raise AssertionError("the orbit scan started")
 
-        monkeypatch.setattr(classify, "_dephase_arrays", no_scan)
-        code, out, err = run(capsys, "equiv", "--d", "7", "--f", "x*y", "--g", "2*x*y", "--mode", "lfp")
+        monkeypatch.setattr(classify, "_permutations", no_scan)
+        monkeypatch.setattr(classify, "CANONICAL_STATE_BUDGET", 10)
+        code, out, err = run(capsys, "equiv", "--d", "7", "--f", "x^2*y", "--g", "2*x^2*y", "--mode", "lfp")
         assert code == EXIT_BUDGET and out == ""
         assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("d", [7, 12])
+    @pytest.mark.parametrize("kind", ["random", "fourier", "zero"])
+    def test_lfp_beyond_orbit_enumeration(self, capsys, d, kind):
+        # (d!)^2 images is far beyond enumeration at these d; the canonical
+        # form answers in milliseconds, so the bound is generous
+        rng = random.Random(d)
+        if kind == "random":
+            f = FiniteFunction(d, 2, [rng.randrange(d) for _ in range(d * d)])
+        elif kind == "fourier":
+            f = special_function("fourier", d)
+        else:
+            f = FiniteFunction.zero(d, 2)
+        moved, _ = random_lfp(d, 2, d).lift().apply(f)
+        other = FiniteFunction(d, 2, [rng.randrange(d) for _ in range(d * d)])
+        # an LU invariant tells them apart, so they are not LFP-equivalent
+        assert trace_powers(other) != trace_powers(f)
+        for g, expected in [(moved, "equivalent"), (other, "inequivalent")]:
+            start = time.monotonic()
+            code, out, _ = run(
+                capsys, "equiv", "--d", str(d), "--f", emit_function(f),
+                "--g", emit_function(g), "--mode", "lfp",
+            )
+            elapsed = time.monotonic() - start
+            assert code == EXIT_OK and out.split()[0] == expected
+            assert elapsed < 10, f"d={d} {kind} equiv took {elapsed:.1f}s"
 
 
 class TestStabilizers:
