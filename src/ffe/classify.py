@@ -446,23 +446,31 @@ def _positions(sorted_keys, keys):
     return pos[sorted_keys[pos] == keys]
 
 
-def _close_orbits(seeds, decode, encode, index_keys, index_texts):
-    """Close the orbit of each seed that no earlier orbit holds, in order.
+def _close_orbits(d, index_mats, index_texts):
+    """Close the LFP orbit of every dephased d x d matrix, each orbit once.
 
-    seeds and index_keys are sorted arrays of keys under encode, which maps a
-    block of dephased matrices to keys; decode maps a key back to its matrix.
-    Yields the bytes of each orbit's lexmin matrix, its size and the sorted
-    texts listed under the index keys it holds.
+    A dephased matrix is coded by its core read as a base-d number, most
+    significant digit first, so codes sort as the matrices' bytes do and the
+    matrices are coded 0 .. d^((d-1)^2) - 1.  The seed of each orbit is its
+    least unclaimed code, hence its lexmin.  index_mats is a sorted stack of
+    dephased matrices with index_texts listed under them.  Yields the bytes
+    of each orbit's lexmin matrix, its size and the sorted texts listed under
+    the index matrices it holds, in order of the lexmins.
     """
-    claimed = np.zeros(len(seeds), dtype=bool)
-    for i, seed in enumerate(seeds):
-        if claimed[i]:
+    core = (d - 1) ** 2
+    weights = d ** np.arange(core - 1, -1, -1, dtype=np.int64)
+    index_codes = index_mats[:, 1:, 1:].reshape(-1, core) @ weights
+    claimed = np.zeros(d**core, dtype=bool)
+    seed = np.zeros((d, d), dtype=np.uint8)
+    for code in range(d**core):
+        if claimed[code]:
             continue
-        keys = _orbit(decode(seed), encode)
-        claimed[_positions(seeds, keys)] = True
-        hits = _positions(index_keys, keys)
+        seed[1:, 1:] = (code // weights % d).reshape(d - 1, d - 1)
+        codes = _orbit(seed, lambda b: b[:, 1:, 1:].reshape(len(b), core) @ weights)
+        claimed[codes] = True
+        hits = _positions(index_codes, codes)
         texts = sorted(itertools.chain.from_iterable(index_texts[j] for j in hits))
-        yield decode(keys[0]).tobytes(), len(keys), texts
+        yield seed.tobytes(), len(codes), texts
 
 
 def classify_lfp(d, scope="all", threads=None):
@@ -485,21 +493,8 @@ def classify_lfp(d, scope="all", threads=None):
     index_mats = np.frombuffer(b"".join(index_keys), dtype=np.uint8).reshape(-1, d, d)
     index_texts = [poly_index[k] for k in index_keys]
     if scope == "all":
-        # a dephased matrix is keyed by its core read as a base-d number,
-        # most significant digit first, so codes sort as the matrices' bytes
-        weights = d ** np.arange((d - 1) ** 2 - 1, -1, -1, dtype=np.int64)
-
-        def encode(blocks):
-            return blocks[:, 1:, 1:].reshape(len(blocks), -1) @ weights
-
-        def decode(code):
-            mat = np.zeros((d, d), dtype=np.uint8)
-            mat[1:, 1:] = (code // weights % d).reshape(d - 1, d - 1)
-            return mat
-
         seed_count = d ** ((d - 1) ** 2)
-        seeds = np.arange(seed_count, dtype=np.int64)
-        found = sorted(_close_orbits(seeds, decode, encode, encode(index_mats), index_texts))
+        found = list(_close_orbits(d, index_mats, index_texts))
     else:
         # the index keys fall into orbits by canonical form; the polynomial
         # enumeration budget leaves at most 162 keys (d = 6) to search

@@ -7,10 +7,17 @@ coefficient of x^e below p^(m-c(e)) and is unique.  For composite d the normal
 forms of the prime-power components are merged through the Chinese remainder
 theorem.  This module provides the normal-form enumeration, the polynomiality
 decision, the tensor-edge-hypergraph view, and a text grammar for polynomials.
+
+The decision needs no linear solver: over Z_{p^m} the forward differences of
+a function at 0 say whether it is polynomial and give its coefficients in the
+falling-factorial basis (is_polynomial).  Differences, the change to the
+monomial basis and evaluation are each one small matrix applied along every
+axis of a d x ... x d array (_along_axes).
 """
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -151,7 +158,20 @@ class Polynomial:
         return total % self.d
 
     def to_function(self):
-        return FiniteFunction.from_callable(self.d, self.n, self.evaluate)
+        d, n = self.d, self.n
+        if not self._terms:
+            return FiniteFunction.zero(d, n)
+        # one slot per distinct column x -> x^e mod d, so exponents >= d
+        # share the slot of a smaller exponent with the same powers
+        columns, slot = {}, {}
+        for e in {e for exps, _ in self._terms for e in exps}:
+            column = tuple(pow(x, e, d) for x in range(d))
+            slot[e] = columns.setdefault(column, len(columns))
+        coeffs = np.zeros((len(columns),) * n, dtype=np.int64)
+        index = np.array([[slot[e] for e in exps] for exps, _ in self._terms])
+        np.add.at(coeffs, tuple(index.T), [c for _, c in self._terms])
+        table = np.array(list(columns), dtype=np.int64).T
+        return FiniteFunction(d, n, _along_axes(coeffs % d, table, d).ravel().tolist())
 
     def to_text(self):
         names = _variable_names(self.n)
@@ -293,102 +313,6 @@ def count_polynomial_functions(d, n):
     return total
 
 
-def _field_solve(rows, rhs, p):
-    """Solve M z = r over GF(p); returns (particular or None, kernel basis)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [[v % p for v in row] + [r % p] for row, r in zip(rows, rhs)]
-    pivot_cols = []
-    rank = 0
-    for col in range(ncols):
-        sel = next((i for i in range(rank, nrows) if aug[i][col]), None)
-        if sel is None:
-            continue
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        inv = pow(aug[rank][col], -1, p)
-        aug[rank] = [v * inv % p for v in aug[rank]]
-        for i in range(nrows):
-            if i != rank and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [
-                    (a - factor * b) % p for a, b in zip(aug[i], aug[rank])
-                ]
-        pivot_cols.append(col)
-        rank += 1
-    for i in range(rank, nrows):
-        if aug[i][ncols]:
-            return None, []
-    particular = [0] * ncols
-    for r, col in enumerate(pivot_cols):
-        particular[col] = aug[r][ncols]
-    kernel = []
-    pivot_set = set(pivot_cols)
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, col in enumerate(pivot_cols):
-            vec[col] = (-aug[r][free]) % p
-        kernel.append(vec)
-    return particular, kernel
-
-
-def _solve_mod_prime_power(matrix, rhs, p, m):
-    """One solution of matrix @ c == rhs over Z_{p^m}, or None.
-
-    Level-by-level lifting: the solution set mod p^t is a coset of a tracked
-    generator set; each lift solves a GF(p) system for the correction digits.
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    x = [0] * ncols
-    gens = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    q = p**m
-    for t in range(m):
-        pt = p**t
-        residual = [
-            (r - sum(a * xi for a, xi in zip(row, x))) % (pt * p)
-            for row, r in zip(matrix, rhs)
-        ]
-        if any(r % pt for r in residual):
-            raise AssertionError("lifting invariant violated")
-        rhs_p = [(r // pt) % p for r in residual]
-        # columns: one per current generator, then one per p^t * e_j correction
-        cols = []
-        for g in gens:
-            img = [sum(a * gi for a, gi in zip(row, g)) for row in matrix]
-            cols.append([(v // pt) % p for v in img])
-        for j in range(ncols):
-            cols.append([(row[j]) % p for row in matrix])
-        rows = [[col[i] for col in cols] for i in range(nrows)]
-        particular, kernel = _field_solve(rows, rhs_p, p)
-        if particular is None:
-            return None
-        s = len(gens)
-        new_x = list(x)
-        for i, a in enumerate(particular[:s]):
-            if a:
-                new_x = [xi + a * gi for xi, gi in zip(new_x, gens[i])]
-        for j, a in enumerate(particular[s:]):
-            if a:
-                new_x[j] += pt * a
-        new_gens = [[p * gi for gi in g] for g in gens]
-        for vec in kernel:
-            g_new = [0] * ncols
-            for i, a in enumerate(vec[:s]):
-                if a:
-                    g_new = [gi + a * hi for gi, hi in zip(g_new, gens[i])]
-            for j, a in enumerate(vec[s:]):
-                if a:
-                    g_new[j] += pt * a
-            if any(v % q for v in g_new):
-                new_gens.append([v % q for v in g_new])
-        x = [v % q for v in new_x]
-        gens = new_gens
-    return x
-
-
 @lru_cache(maxsize=None)
 def _falling_factorial_coeffs(e):
     """Coefficients of x(x-1)...(x-e+1) as a tuple indexed by power."""
@@ -446,43 +370,78 @@ def _normalize_component(terms, p, m):
                 terms.pop(e2, None)
 
 
+@lru_cache(maxsize=None)
+def _newton_tables(p, m):
+    """Per-axis tables over Z_q, q = p^m, indexed by e and x in [0, q).
+
+    diff[e, x] = (-1)^(e-x) C(e, x), so diff applied along every axis of g
+    gives the forward differences (Delta^e g)(0); stirling[k, e] is the
+    coefficient of x^k in (x)_e; nu[e] = nu_p(e!); unit_inv[e] is the inverse
+    mod q of e! / p^nu[e].
+    """
+    q = p**m
+    diff = np.array(
+        [[(-1) ** (e + x) * math.comb(e, x) for x in range(q)] for e in range(q)]
+    )
+    stirling = np.zeros((q, q), dtype=np.int64)
+    for e in range(q):
+        stirling[: e + 1, e] = _falling_factorial_coeffs(e)
+    nu = np.array([composite_degree(p, m, e) for e in range(q)])
+    unit_inv = np.array(
+        [pow(math.factorial(e) // p ** int(v), -1, q) for e, v in enumerate(nu)]
+    )
+    tables = (diff % q, stirling % q, nu, unit_inv)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _along_axes(tensor, matrix, modulus):
+    """matrix (rows x k) applied along every axis of a (k, ..., k) int64
+    tensor, mod modulus: the result has shape (rows, ..., rows)."""
+    for _ in range(tensor.ndim):
+        # contracts the leading axis and appends the new one at the end
+        tensor = np.tensordot(tensor, matrix, axes=([0], [1])) % modulus
+    return tensor
+
+
 def is_polynomial(f):
     """The normal-form polynomial representing f, or None.
 
-    Decided per prime-power component: reduce f to Z_{p^m}^n (failure of
-    well-definedness already rules a polynomial out), solve the linear system
-    of admissible monomial images by p-adic lifting, normalize coefficients,
-    then CRT-merge the components.
+    Decided per prime-power component q = p^m by finite differences (Kempner
+    1921).  f mod q must depend on x mod q alone; call that function g.  Let
+    a_e = (Delta^e g)(0) for e in [0, q)^n and nu(e) = min(m, sum_i
+    nu_p(e_i!)).  Then g is a polynomial iff p^nu(e) divides every a_e.
+
+    Proof sketch: a polynomial with integer coefficients is an integer
+    combination sum_e b_e prod_i (x_i)_(e_i) of falling factorials, whose
+    e-th difference at 0 is e! b_e, so p^nu(e) | a_e.  Conversely, b_e =
+    (a_e / p^nu) (e! / p^nu)^(-1) mod p^(m-nu) gives a polynomial with the
+    differences a_e mod q; the binomial basis is unitriangular, so the a_e
+    determine g on [0, q)^n.  Since (x)_e = e! C(x, e) is divisible by
+    p^nu, b_e matters only mod p^(m-nu).  The Stirling numbers turn the b_e
+    into monomial coefficients, which are normalized and CRT-merged.
     """
     d, n = f.d, f.n
+    values = np.array(f.values, dtype=np.int64).reshape((d,) * n)
     factors = prime_power_factors(d)
     basis = _crt_basis(factors)
     component_terms = []
     for p, m in factors:
         q = p**m
-        table = {}
-        for x in f.points():
-            key = tuple(c % q for c in x)
-            v = f.eval(x) % q
-            if table.setdefault(key, v) != v:
-                return None
-        monos = [e for e, _ in admissible_monomials(p, m, n)]
-        points = list(itertools.product(range(q), repeat=n))
-        matrix = []
-        for x in points:
-            row = []
-            for exps in monos:
-                v = 1
-                for xi, ei in zip(x, exps):
-                    if ei:
-                        v = v * pow(xi, ei, q) % q
-                row.append(v)
-            matrix.append(row)
-        rhs = [table[x] for x in points]
-        sol = _solve_mod_prime_power(matrix, rhs, p, m)
-        if sol is None:
+        g = values[(slice(q),) * n] % q
+        if not np.array_equal(g[np.ix_(*[np.arange(d) % q] * n)], values % q):
             return None
-        component_terms.append(_normalize_component(dict(zip(monos, sol)), p, m))
+        diff, stirling, nu, unit_inv = _newton_tables(p, m)
+        a = _along_axes(g, diff, q)
+        power = p ** np.minimum(m, sum(np.ix_(*[nu] * n)))
+        if (a % power).any():
+            return None
+        b = a // power * math.prod(np.ix_(*[unit_inv] * n)) % (q // power)
+        coeffs = _along_axes(b, stirling, q)
+        exps = np.argwhere(coeffs)
+        terms = dict(zip(map(tuple, exps.tolist()), coeffs[tuple(exps.T)].tolist()))
+        component_terms.append(_normalize_component(terms, p, m))
     merged = {}
     for exps in set().union(*[set(t) for t in component_terms]):
         residues = [t.get(exps, 0) for t in component_terms]

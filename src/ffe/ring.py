@@ -212,23 +212,29 @@ def parse_function(text):
     return function_from_json(obj)
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def function_from_json(obj):
     if not isinstance(obj, dict) or "d" not in obj or "values" not in obj:
         raise ArityError("function JSON requires 'd' and 'values'")
     d = obj["d"]
     values = obj["values"]
-    if isinstance(values, list) and values and isinstance(values[0], list):
+    if not _is_int(d) or not _is_int(obj.get("n", 0)):
+        raise ArityError("'d' and 'n' in function JSON must be integers")
+    if not isinstance(values, list):
+        raise ArityError("'values' in function JSON must be a list")
+    if values and isinstance(values[0], list):
         flat = []
         n = 0
         probe = values
-        while isinstance(probe, list):
+        while isinstance(probe, list) and probe:
             n += 1
             probe = probe[0]
 
         def walk(v, depth):
             if depth == n:
-                if not isinstance(v, int):
-                    raise ArityError("non-integer residue in function JSON")
                 flat.append(v)
                 return
             if not isinstance(v, list) or len(v) != d:
@@ -244,7 +250,7 @@ def function_from_json(obj):
             raise ArityError("flat values require explicit 'n'")
         n = obj["n"]
         flat = values
-    if any(not isinstance(v, int) or not (0 <= v < d) for v in flat):
+    if any(not _is_int(v) or not (0 <= v < d) for v in flat):
         raise ArityError("residues must be integers in [0, d)")
     return FiniteFunction(d, n, flat)
 

@@ -13,14 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .classify import (
-    _as_array,
-    _canonical_forms,
-    classify_lfp,
-    classify_lu,
-    key_to_function,
-)
-from .linalg import singular_values
+from .classify import _as_array, _canonical_forms, classify_lfp, classify_lu
 from .polynomials import is_polynomial, parse_polynomial
 from .ring import FiniteFunction
 
@@ -91,10 +84,9 @@ def verify_d3(fixture=None):
         seen_ids.add(cid)
         rec = cat.orbits[cid]
         check(f"{label}_size", rec.orbit_size == len(members))
-        rep = key_to_function(3, rec.representative)
         check(
             f"{label}_singular_values",
-            _sv_match(singular_values(rep), cls["singular_values"]),
+            _sv_match(cat.class_singular_values(rec), cls["singular_values"]),
         )
     check("partition_total", sum(r.orbit_size for r in cat.orbits) == 81)
     check("lu_count", len(cat.lu_classes) == 6)
@@ -137,10 +129,11 @@ def verify_teh(d, fixture=None, expected_lu=None):
         if len(ids) == 1:
             cid = ids.pop()
             listings_by_id.setdefault(cid, []).append(cls)
-            rep = key_to_function(d, cat.orbits[cid].representative)
             check(
                 f"{label}_singular_values",
-                _sv_match(singular_values(rep), cls["singular_values"]),
+                _sv_match(
+                    cat.class_singular_values(cat.orbits[cid]), cls["singular_values"]
+                ),
             )
     check("listing_covers_all_classes", len(listings_by_id) == len(cat.orbits))
     # listed classes that land in the same computed class must agree with

@@ -11,6 +11,7 @@ from ffe.classify import special_function
 from ffe.cli import EXIT_BUDGET, EXIT_CONFORMANCE, EXIT_INPUT, EXIT_OK, main
 from ffe.fpops import random_lfp
 from ffe.linalg import trace_powers
+from ffe.polynomials import Polynomial, admissible_monomials, parse_polynomial
 from ffe.ring import FiniteFunction, emit_function
 
 
@@ -86,6 +87,52 @@ class TestQuery:
     def test_named_state_wrong_d(self, capsys):
         code, _, err = run(capsys, "query", "--d", "4", "--f", "s6", "--ops", "it")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("literal", [
+        '{"d":"3","n":1,"values":[0,1,2]}',
+        '{"d":3.0,"n":1,"values":[0,1,2]}',
+        '{"d":3,"n":"2","values":[0,1,2,0,1,2,0,1,2]}',
+        '{"d":3,"n":1,"values":5}',
+        '{"d":3,"values":[[]]}',
+        '{"d":2,"n":1,"values":[0,true]}',
+        '{"d":2,"values":[[0,1],[1,false]]}',
+    ])
+    def test_malformed_function_json(self, capsys, literal):
+        code, out, err = run(capsys, "query", "--d", "3", "--f", literal, "--ops", "is-poly")
+        assert code == EXIT_INPUT and out == "" and "input error" in err
+
+    def test_is_poly_random_state_d11_n3(self, capsys):
+        # every function over a prime field is a polynomial
+        rng = random.Random(11)
+        f = FiniteFunction(11, 3, [rng.randrange(11) for _ in range(11**3)])
+        start = time.monotonic()
+        code, out, _ = run(capsys, "query", "--d", "11", "--f", emit_function(f), "--ops", "is-poly")
+        elapsed = time.monotonic() - start
+        doc = json.loads(out)
+        assert code == EXIT_OK and doc["is-poly"] is True
+        assert parse_polynomial(doc["polynomial"], 11, 3).to_function() == f
+        assert elapsed < 10, f"(11, 3) is-poly took {elapsed:.1f}s"
+
+    def test_is_poly_dense_normal_form_d9_n4(self, capsys):
+        # a normal form with every admissible monomial; moving one value
+        # adds a point indicator, which is no polynomial over Z_9 (its third
+        # difference along one axis is -1, not divisible by 3! = 2 * 3)
+        rng = random.Random(9)
+        poly = Polynomial(9, 4, {
+            exps: rng.randrange(1, modulus)
+            for exps, modulus in admissible_monomials(3, 2, 4)
+        })
+        f = poly.to_function()
+        moved = list(f.values)
+        moved[rng.randrange(len(moved))] += 1
+        for g, expected in [(f, poly.to_text()), (FiniteFunction(9, 4, moved), None)]:
+            start = time.monotonic()
+            code, out, _ = run(capsys, "query", "--d", "9", "--f", emit_function(g), "--ops", "is-poly")
+            elapsed = time.monotonic() - start
+            doc = json.loads(out)
+            assert code == EXIT_OK and doc["is-poly"] is (expected is not None)
+            assert doc.get("polynomial") == expected
+            assert elapsed < 10, f"(9, 4) is-poly took {elapsed:.1f}s"
 
 
 class TestEquiv:

@@ -163,14 +163,14 @@ class TestIsPolynomial:
 
     def test_normal_form_is_canonical_d6(self):
         # the recovered polynomial of an enumerated image must be the
-        # enumerated normal form itself
-        rng = random.Random(8)
-        sample = []
-        for i, pair in enumerate(enumerate_polynomial_functions(6, 2)):
-            if i % 4096 == 0:
-                sample.append(pair)
-        for poly, func in sample:
-            assert is_polynomial(func) == poly
+        # enumerated normal form itself; every 1024th of the 314,928 rows
+        offset = 0
+        for monomials, coeffs, images in enumerate_polynomial_blocks(6, 2):
+            for k in range(-offset % 1024, len(coeffs), 1024):
+                poly = Polynomial(6, 2, dict(zip(monomials, coeffs[k].tolist())))
+                assert is_polynomial(FiniteFunction(6, 2, images[k].tolist())) == poly
+            offset += len(coeffs)
+        assert offset == 314928
 
     def test_prime_d_every_function_is_polynomial(self):
         for vals in itertools.product(range(2), repeat=4):
@@ -180,6 +180,62 @@ class TestIsPolynomial:
             f = FiniteFunction(3, 2, [rng.randrange(3) for _ in range(9)])
             p = is_polynomial(f)
             assert p is not None and p.to_function() == f
+
+
+def _enumerated_normal_forms(d, n):
+    """Image values -> (monomials, coefficients) of the normal form, from the
+    enumeration alone."""
+    forms = {}
+    for monomials, coeffs, images in enumerate_polynomial_blocks(d, n):
+        for row, image in zip(coeffs.tolist(), images.tolist()):
+            forms[tuple(image)] = (monomials, row)
+    return forms
+
+
+class TestDecisionAgainstEnumeration:
+    """is_polynomial against the enumerated images and normal forms, which
+    share no code with the finite-difference decision."""
+
+    def _check(self, forms, d, n, values):
+        decided = is_polynomial(FiniteFunction(d, n, values))
+        assert (decided is not None) == (tuple(values) in forms)
+        if decided is not None:
+            monomials, row = forms[tuple(values)]
+            assert decided == Polynomial(d, n, dict(zip(monomials, row)))
+
+    def test_every_function_d2_n3(self):
+        forms = _enumerated_normal_forms(2, 3)
+        assert len(forms) == 256
+        for values in itertools.product(range(2), repeat=8):
+            self._check(forms, 2, 3, values)
+
+    @pytest.mark.parametrize("d,n", [(6, 1), (8, 1), (9, 1), (4, 2)])
+    def test_sampled_images_and_one_point_perturbations(self, d, n):
+        forms = _enumerated_normal_forms(d, n)
+        assert len(forms) == count_polynomial_functions(d, n)
+        rng = random.Random(d * 10 + n)
+        images = rng.sample(sorted(forms), 60)
+        perturbed = 0
+        for image in images:
+            self._check(forms, d, n, list(image))
+            moved = list(image)
+            at = rng.randrange(len(moved))
+            moved[at] = (moved[at] + rng.randrange(1, d)) % d
+            perturbed += tuple(moved) not in forms
+            self._check(forms, d, n, moved)
+        assert perturbed > 0
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (5, 2), (6, 2), (8, 1), (12, 2), (7, 3)])
+    def test_to_function_matches_scalar_evaluate(self, d, n):
+        # exponents run past d, where x^e mod d repeats with a preperiod
+        rng = random.Random(d + n)
+        for _ in range(20):
+            terms = {
+                tuple(rng.randrange(3 * d) for _ in range(n)): rng.randrange(d)
+                for _ in range(rng.randrange(0, 12))
+            }
+            poly = Polynomial(d, n, terms)
+            assert poly.to_function() == FiniteFunction.from_callable(d, n, poly.evaluate)
 
 
 class TestHypergraph:
