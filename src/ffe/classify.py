@@ -386,7 +386,9 @@ def _signature_of_sums(sums, d):
 
 def invariant_row_signature(f, axis=0):
     """Sorted multiset of group sizes of equal axis sums of the image tensor."""
-    d, n = f.d, f.n
+    if not 0 <= axis < f.n:
+        raise ArityError(f"axis {axis} out of range for n={f.n}")
+    d = f.d
     sums = [0] * d
     for x in f.points():
         sums[x[axis]] += f.eval(x)
@@ -481,6 +483,7 @@ def classify_lfp(d, scope="all", threads=None):
     additionally annotated with every normal-form polynomial they contain.
     threads is accepted for compatibility and has no effect.
     """
+    check_shape(d, 2)
     start = time.time()
     if scope not in ("all", "teh"):
         raise ValueError(f"unknown scope {scope!r}")

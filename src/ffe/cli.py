@@ -17,8 +17,8 @@ from . import classify as classify_mod
 from . import linalg, polynomials, stabilizer, verify
 from .classify import BudgetError, classify_lfp, classify_lu, special_function
 from .fpops import dephase
-from .polynomials import EnumerationTooLarge, PolynomialParseError
-from .ring import ArityError, FiniteFunction, PermutationError, function_from_json
+from .polynomials import EnumerationTooLarge
+from .ring import ArityError, parse_function
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -38,7 +38,7 @@ def parse_function_literal(text, d):
     """Polynomial string, image-matrix JSON (leading '{'), or a named state."""
     text = text.strip()
     if text.startswith("{"):
-        return function_from_json(json.loads(text))
+        return parse_function(text)
     if text in _NAMED:
         name, want_d = _NAMED[text]
         if want_d is not None and d != want_d:
@@ -48,11 +48,7 @@ def parse_function_literal(text, d):
 
 
 def cmd_classify(args):
-    try:
-        cat = classify_lfp(args.d, args.scope, threads=args.threads)
-    except (BudgetError, EnumerationTooLarge) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    cat = classify_lfp(args.d, args.scope, threads=args.threads)
     if args.lu:
         cat = classify_lu(cat)
     if args.out:
@@ -214,13 +210,10 @@ def main(argv=None):
     except (BudgetError, EnumerationTooLarge) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        ArityError,
-        PermutationError,
-        PolynomialParseError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
+        # ArityError, PermutationError, PolynomialParseError and malformed
+        # JSON are all ValueErrors; the budget errors above are too, so
+        # they must be caught first
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

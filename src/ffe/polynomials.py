@@ -12,7 +12,10 @@ The decision needs no linear solver: over Z_{p^m} the forward differences of
 a function at 0 say whether it is polynomial and give its coefficients in the
 falling-factorial basis (is_polynomial).  Differences, the change to the
 monomial basis and evaluation are each one small matrix applied along every
-axis of a d x ... x d array (_along_axes).
+axis of a d x ... x d array (_along_axes).  The monomial coefficients are
+brought under their normal-form bounds in one pass down the total degrees,
+each step subtracting falling factorials that vanish as functions; the
+components are then CRT-merged in one dense array.
 """
 from __future__ import annotations
 
@@ -236,17 +239,6 @@ def _crt_basis(factors):
     return basis
 
 
-def _monomial_image(exps, d, n):
-    vals = []
-    for x in itertools.product(range(d), repeat=n):
-        v = 1
-        for xi, ei in zip(x, exps):
-            if ei:
-                v = v * pow(xi, ei, d) % d
-        vals.append(v)
-    return vals
-
-
 def enumerate_polynomial_blocks(d, n, chunk=8192, constant_free=False):
     """Yield (monomials, coeffs, images) blocks covering every normal form once.
 
@@ -279,7 +271,9 @@ def enumerate_polynomial_blocks(d, n, chunk=8192, constant_free=False):
             )
     if constant_free:
         choice_lists[0] = [0]  # merged[0] is the constant monomial (0, ..., 0)
-    images = np.array([_monomial_image(e, d, n) for e in merged], dtype=np.int64)
+    images = np.array(
+        [Polynomial(d, n, {e: 1}).to_function().values for e in merged], dtype=np.int64
+    )
     radices = np.array([len(c) for c in choice_lists], dtype=np.int64)
     # mixed-radix place values, the last monomial fastest
     strides = np.cumprod(np.append(1, radices[:0:-1]))[::-1]
@@ -303,14 +297,11 @@ def enumerate_polynomial_functions(d, n, chunk=8192):
 
 
 def count_polynomial_functions(d, n):
-    factors = prime_power_factors(d)
-    component = [dict(admissible_monomials(p, m, n)) for p, m in factors]
-    merged = set().union(*[set(c) for c in component])
-    total = 1
-    for exps in merged:
-        for comp in component:
-            total *= comp.get(exps, 1)
-    return total
+    return math.prod(
+        modulus
+        for p, m in prime_power_factors(d)
+        for _, modulus in admissible_monomials(p, m, n)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -322,52 +313,6 @@ def _falling_factorial_coeffs(e):
         for i in range(len(coeffs) - 1):
             coeffs[i] -= j * coeffs[i + 1]
     return tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _falling_factorial_expansion(exps):
-    """Monomial expansion of prod_i (x_i)_(e_i) as {exponent vector: int}."""
-    out = {(): 1}
-    for e in exps:
-        single = _falling_factorial_coeffs(e)
-        new = {}
-        for tail, c in out.items():
-            for power, fc in enumerate(single):
-                if fc:
-                    key = tail + (power,)
-                    new[key] = new.get(key, 0) + c * fc
-        out = new
-    return out
-
-
-def _normalize_component(terms, p, m):
-    """Reduce coefficients below p^(m-c(e)) using falling-factorial nulls.
-
-    The function (p^m / gcd(p^m, prod e_i!)) * prod (x_i)_(e_i) vanishes
-    identically mod p^m, which rewrites any out-of-bound coefficient into
-    strictly smaller monomials; iteration terminates by the graded order.
-    """
-    q = p**m
-    terms = {e: c % q for e, c in terms.items() if c % q}
-    while True:
-        offending = [
-            e for e, c in terms.items() if c >= p ** (m - _multivariate_cap(p, m, e))
-        ]
-        if not offending:
-            return terms
-        e = max(offending, key=lambda t: (sum(t), t))
-        bound = p ** (m - _multivariate_cap(p, m, e))
-        s, r = divmod(terms.pop(e), bound)
-        if r:
-            terms[e] = r
-        for e2, c2 in _falling_factorial_expansion(e).items():
-            if e2 == e:
-                continue
-            val = (terms.get(e2, 0) - s * bound * c2) % q
-            if val:
-                terms[e2] = val
-            else:
-                terms.pop(e2, None)
 
 
 @lru_cache(maxsize=None)
@@ -400,8 +345,11 @@ def _along_axes(tensor, matrix, modulus):
     """matrix (rows x k) applied along every axis of a (k, ..., k) int64
     tensor, mod modulus: the result has shape (rows, ..., rows)."""
     for _ in range(tensor.ndim):
-        # contracts the leading axis and appends the new one at the end
-        tensor = np.tensordot(tensor, matrix, axes=([0], [1])) % modulus
+        # contracts the leading axis and appends the new one at the end, as
+        # np.tensordot(tensor, matrix, ([0], [1])) does with more overhead
+        rest = tensor.shape[1:]
+        tensor = tensor.reshape(len(tensor), -1).T @ matrix.T
+        tensor = tensor.reshape(rest + (len(matrix),)) % modulus
     return tensor
 
 
@@ -420,14 +368,20 @@ def is_polynomial(f):
     differences a_e mod q; the binomial basis is unitriangular, so the a_e
     determine g on [0, q)^n.  Since (x)_e = e! C(x, e) is divisible by
     p^nu, b_e matters only mod p^(m-nu).  The Stirling numbers turn the b_e
-    into monomial coefficients, which are normalized and CRT-merged.
+    into monomial coefficients c_e, which may still exceed the normal-form
+    bound p^(m-nu(e)).  One pass over the total degrees, from the highest
+    one holding such a coefficient down, fixes that: p^(m-nu(e)) (x)_e is
+    zero as a function mod q, its monomial x^e has coefficient 1, and its
+    other monomials have exponents below e, so subtracting floor(c_e /
+    p^(m-nu(e))) copies of it brings c_e under its bound and changes only
+    lower degrees.  Over a prime q every c_e is already bounded.  The normal
+    form is unique, so the bounded components, CRT-merged, are it.
     """
     d, n = f.d, f.n
     values = np.array(f.values, dtype=np.int64).reshape((d,) * n)
     factors = prime_power_factors(d)
-    basis = _crt_basis(factors)
-    component_terms = []
-    for p, m in factors:
+    merged = np.zeros(values.shape, dtype=np.int64)
+    for (p, m), u in zip(factors, _crt_basis(factors)):
         q = p**m
         g = values[(slice(q),) * n] % q
         if not np.array_equal(g[np.ix_(*[np.arange(d) % q] * n)], values % q):
@@ -437,16 +391,19 @@ def is_polynomial(f):
         power = p ** np.minimum(m, sum(np.ix_(*[nu] * n)))
         if (a % power).any():
             return None
-        b = a // power * math.prod(np.ix_(*[unit_inv] * n)) % (q // power)
-        coeffs = _along_axes(b, stirling, q)
-        exps = np.argwhere(coeffs)
-        terms = dict(zip(map(tuple, exps.tolist()), coeffs[tuple(exps.T)].tolist()))
-        component_terms.append(_normalize_component(terms, p, m))
-    merged = {}
-    for exps in set().union(*[set(t) for t in component_terms]):
-        residues = [t.get(exps, 0) for t in component_terms]
-        merged[exps] = sum(u * r for u, r in zip(basis, residues)) % d
-    poly = Polynomial(d, n, merged)
+        bound = q // power
+        b = a // power * math.prod(np.ix_(*[unit_inv] * n)) % bound
+        c = _along_axes(b, stirling, q)
+        level = sum(np.ix_(*[np.arange(q)] * n))
+        while (c >= bound).any():
+            top = level[c >= bound].max()
+            carry = np.where(level == top, c // bound, 0)
+            c = (c - _along_axes(carry * bound, stirling, q)) % q
+        merged[(slice(q),) * n] += u * c
+    merged %= d
+    exps = np.argwhere(merged)
+    terms = dict(zip(map(tuple, exps.tolist()), merged[tuple(exps.T)].tolist()))
+    poly = Polynomial(d, n, terms)
     if poly.to_function() != f:
         raise AssertionError("normal-form reconstruction mismatch")
     return poly

@@ -37,6 +37,12 @@ class TestClassify:
         assert code == EXIT_BUDGET
         assert "budget" in err
 
+    @pytest.mark.parametrize("scope", ["all", "teh"])
+    @pytest.mark.parametrize("d", [1, 0, -2, 13])
+    def test_out_of_range_d_rejected(self, capsys, d, scope):
+        code, out, err = run(capsys, "classify", "--d", str(d), "--scope", scope)
+        assert code == EXIT_INPUT and out == "" and "input error" in err
+
     def test_json_output(self, capsys, tmp_path):
         path = tmp_path / "cat.json"
         code, _, _ = run(capsys, "classify", "--d", "3", "--lu", "--out", str(path))
@@ -101,6 +107,15 @@ class TestQuery:
         code, out, err = run(capsys, "query", "--d", "3", "--f", literal, "--ops", "is-poly")
         assert code == EXIT_INPUT and out == "" and "input error" in err
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_default_ops_reject_n_other_than_2(self, capsys, n):
+        # rowsig/colsig and haagerup are defined on the image matrix only
+        literal = emit_function(FiniteFunction.from_callable(3, n, sum))
+        code, out, err = run(capsys, "query", "--d", "3", "--f", literal)
+        assert code == EXIT_INPUT and out == "" and "input error" in err
+        code, out, _ = run(capsys, "query", "--d", "3", "--f", literal, "--ops", "it,is-poly")
+        assert code == EXIT_OK and json.loads(out)["is-poly"] is True
+
     def test_is_poly_random_state_d11_n3(self, capsys):
         # every function over a prime field is a polynomial
         rng = random.Random(11)
@@ -133,6 +148,25 @@ class TestQuery:
             assert code == EXIT_OK and doc["is-poly"] is (expected is not None)
             assert doc.get("polynomial") == expected
             assert elapsed < 10, f"(9, 4) is-poly took {elapsed:.1f}s"
+
+    def test_is_poly_d11_n4(self, capsys):
+        # over Z_11 every function is a polynomial: a random state, and a
+        # dense normal form with every admissible monomial
+        rng = random.Random(11)
+        poly = Polynomial(11, 4, {
+            exps: rng.randrange(1, modulus)
+            for exps, modulus in admissible_monomials(11, 1, 4)
+        })
+        random_state = FiniteFunction(11, 4, [rng.randrange(11) for _ in range(11**4)])
+        for f, expected in [(random_state, None), (poly.to_function(), poly.to_text())]:
+            start = time.monotonic()
+            code, out, _ = run(capsys, "query", "--d", "11", "--f", emit_function(f), "--ops", "is-poly")
+            elapsed = time.monotonic() - start
+            doc = json.loads(out)
+            assert code == EXIT_OK and doc["is-poly"] is True
+            assert parse_polynomial(doc["polynomial"], 11, 4).to_function() == f
+            assert expected is None or doc["polynomial"] == expected
+            assert elapsed < 10, f"(11, 4) is-poly took {elapsed:.1f}s"
 
 
 class TestEquiv:

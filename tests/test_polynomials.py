@@ -1,5 +1,6 @@
 """Polynomial normal forms, enumeration, decision procedure, hypergraphs."""
 import itertools
+import math
 import random
 
 import numpy as np
@@ -22,7 +23,7 @@ from ffe.polynomials import (
     poly_to_teh,
     teh_to_poly,
 )
-from ffe.ring import FiniteFunction
+from ffe.ring import FiniteFunction, prime_power_factors
 
 
 class TestCompositeDegree:
@@ -236,6 +237,44 @@ class TestDecisionAgainstEnumeration:
             }
             poly = Polynomial(d, n, terms)
             assert poly.to_function() == FiniteFunction.from_callable(d, n, poly.evaluate)
+
+
+def _within_bounds(poly):
+    """Whether every coefficient, read mod each prime power q = p^m of d, is
+    below the modulus admissible_monomials gives its exponents (1, so zero,
+    where they are not admissible mod q)."""
+    for p, m in prime_power_factors(poly.d):
+        moduli = dict(admissible_monomials(p, m, poly.n))
+        if any(c % p**m >= moduli.get(e, 1) for e, c in poly.terms.items()):
+            return False
+    return True
+
+
+class TestNormalFormBeyondEnumeration:
+    """Past the enumeration budget: a polynomial that evaluates to f with
+    every coefficient within its admissible_monomials bounds is the unique
+    normal form of f, an oracle that shares no code with the decision.  The
+    shapes hold every prime power p^m <= 12 with m >= 2."""
+
+    @pytest.mark.parametrize("d,n", [(8, 2), (9, 2), (12, 2), (8, 3), (9, 3), (4, 4)])
+    def test_random_polynomials_and_unit_perturbations(self, d, n):
+        rng = random.Random(100 * d + n)
+        units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+        for _ in range(15):
+            terms = {
+                tuple(rng.randrange(3 * d + 1) for _ in range(n)): rng.randrange(d)
+                for _ in range(rng.randrange(1, 16))
+            }
+            f = Polynomial(d, n, terms).to_function()
+            decided = is_polynomial(f)
+            assert decided is not None and decided.to_function() == f
+            assert _within_bounds(decided)
+            # u * 1_{x0} is no polynomial function: for a prime p | d, p < d,
+            # a polynomial keeps its value mod p under x -> x + p e_1, where
+            # the indicator goes from u, a unit, to 0
+            moved = list(f.values)
+            moved[rng.randrange(len(moved))] += rng.choice(units)
+            assert is_polynomial(FiniteFunction(d, n, moved)) is None
 
 
 class TestHypergraph:
