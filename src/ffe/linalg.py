@@ -9,12 +9,13 @@ via Newton's identities, so they serve as an exact local-unitary signature.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CyclotomicInt, CyclotomicRat, _power_table
+from .cyclo import CyclotomicInt, CyclotomicRat, _power_table, phi_degree
 from .ring import ArityError, FiniteFunction
 
 
@@ -129,30 +130,30 @@ def is_butson_hadamard(f):
     return np.array_equal(coeffs, want)
 
 
-def _jacobi_eigenvalues(m, eps=1e-12, max_sweeps=100):
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(m, dtype=float)
-    size = a.shape[0]
+def _jacobi_eigenvalues(a, eps=1e-12, max_sweeps=100):
+    """Eigenvalues of a real symmetric matrix of float rows by cyclic Jacobi
+    rotations, in place on Python floats: the IEEE operations of numpy rows."""
+    size = len(a)
     for _ in range(max_sweeps):
         off = 0.0
         for p in range(size - 1):
-            for q in range(p + 1, size):
-                off = max(off, abs(a[p, q]))
+            for x in a[p][p + 1:]:
+                off = max(off, abs(x))
         if off < eps:
-            return np.sort(np.diag(a))[::-1]
+            return np.sort([a[i][i] for i in range(size)])[::-1]
         for p in range(size - 1):
             for q in range(p + 1, size):
-                apq = a[p, q]
+                apq = a[p][q]
                 if abs(apq) < eps:
                     continue
-                theta = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
+                theta = 0.5 * math.atan2(2.0 * apq, a[q][q] - a[p][p])
                 c, s = math.cos(theta), math.sin(theta)
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
+                row_p, row_q = a[p], a[q]
+                a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
+                a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * y, s * x + c * y
     raise ArithmeticError("Jacobi iteration failed to converge")
 
 
@@ -160,14 +161,19 @@ def singular_values(f):
     """Schmidt coefficients (descending) of the normalized state of f.
 
     Computed as square roots of eigenvalues of rho = G/d^2, via cyclic Jacobi
-    on the 2d x 2d real-symmetric embedding of the Hermitian Gram matrix.
+    on the 2d x 2d real-symmetric embedding of the Hermitian Gram matrix,
+    whose entries are summed in the order of CyclotomicInt.to_complex.
     """
     _require_bipartite(f)
     d = f.d
-    g = gram(f)
-    gc = np.array([[e.to_complex() for e in row] for row in g]) / d**2
-    re, im = gc.real, gc.imag
-    emb = np.block([[re, -im], [im, re]])
+    omega = cmath.exp(2j * cmath.pi / d)
+    powers = [omega**j for j in range(phi_degree(d))]
+    gc = np.array(
+        [[sum(c * w for c, w in zip(e, powers)) for e in row]
+         for row in _gram_coeffs(f).tolist()]
+    ) / d**2
+    re, im = gc.real.tolist(), gc.imag.tolist()
+    emb = [r + [-x for x in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]
     eig = _jacobi_eigenvalues(emb)
     # each eigenvalue of rho appears twice in the embedding
     vals = eig[::2]

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ring import ArityError, FiniteFunction, prime_power_factors
+from .ring import ArityError, FiniteFunction, check_shape, prime_power_factors
 
 ENUMERATION_BUDGET = 10**7
 
@@ -197,6 +197,7 @@ class Polynomial:
 def parse_polynomial(text, d, n):
     """Parse the textual grammar: terms joined by '+', factors by '*',
     exponents with '^'; variables x,y for n<=2 else x1..xn."""
+    check_shape(d, n)
     names = {name: i for i, name in enumerate(_variable_names(n))}
     for i in range(n):
         names.setdefault(f"x{i + 1}", i)

@@ -30,7 +30,13 @@ def check_shape(d, n):
         raise ArityError(f"n={n} outside supported range [1, {MAX_N}]")
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def check_permutation(perm, size):
+    if not isinstance(perm, (list, tuple, range)) or not all(map(_is_int, perm)):
+        raise PermutationError(f"not a sequence of integers: {perm!r}")
     perm = tuple(perm)
     if len(perm) != size or sorted(perm) != list(range(size)):
         raise PermutationError(f"not a permutation of range({size}): {perm}")
@@ -210,10 +216,6 @@ def parse_function(text):
     except json.JSONDecodeError as exc:
         raise ArityError(f"malformed function JSON: {exc}") from exc
     return function_from_json(obj)
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def function_from_json(obj):

@@ -45,6 +45,8 @@ class CycleSpec:
     __slots__ = ("d", "cycles", "witnesses")
 
     def __init__(self, d, cycles, witnesses=None):
+        if not isinstance(cycles, (list, tuple)):
+            raise PermutationError(f"not a sequence of per-site cycles: {cycles!r}")
         cycles = tuple(check_permutation(c, d) for c in cycles)
         for c in cycles:
             if not is_full_cycle(c):

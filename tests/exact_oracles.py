@@ -9,8 +9,14 @@ check.
   dividing x^d - 1 by the cyclotomic polynomials of the proper divisors of d.
   The Q-rank of the expanded integer matrix is phi times the rank over
   Q(omega_d), and fraction-free elimination finds it.
+- `singular_values` is the reference for bit-identical floats: cyclic Jacobi
+  rotating numpy row and column slices of the 2d x 2d real embedding, which
+  is built from this module's Gram matrix through CyclotomicInt.to_complex.
 """
+import math
 from functools import lru_cache
+
+import numpy as np
 
 from ffe.cyclo import CyclotomicInt
 
@@ -61,6 +67,43 @@ def trace_powers(f, k_max=None):
         power = _mat_mul(power, g, d)
         out.append(_trace(power, d))
     return tuple(out)
+
+
+def jacobi_eigenvalues(m, eps=1e-12, max_sweeps=100):
+    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations."""
+    a = np.array(m, dtype=float)
+    size = a.shape[0]
+    for _ in range(max_sweeps):
+        off = 0.0
+        for p in range(size - 1):
+            for q in range(p + 1, size):
+                off = max(off, abs(a[p, q]))
+        if off < eps:
+            return np.sort(np.diag(a))[::-1]
+        for p in range(size - 1):
+            for q in range(p + 1, size):
+                apq = a[p, q]
+                if abs(apq) < eps:
+                    continue
+                theta = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
+                c, s = math.cos(theta), math.sin(theta)
+                rot_p = c * a[p, :] - s * a[q, :]
+                rot_q = s * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rot_p, rot_q
+                rot_p = c * a[:, p] - s * a[:, q]
+                rot_q = s * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = rot_p, rot_q
+    raise ArithmeticError("Jacobi iteration failed to converge")
+
+
+def singular_values(f):
+    """Square roots of the eigenvalues of G / d^2, each taken once from the
+    doubled spectrum of the embedding [[Re, -Im], [Im, Re]]."""
+    d = f.d
+    gc = np.array([[e.to_complex() for e in row] for row in gram(f)]) / d**2
+    re, im = gc.real, gc.imag
+    eig = jacobi_eigenvalues(np.block([[re, -im], [im, re]]))
+    return [math.sqrt(max(v, 0.0)) for v in eig[::2]]
 
 
 @lru_cache(maxsize=None)

@@ -61,6 +61,10 @@ class TestClassify:
 
 
 class TestQuery:
+    def test_d0_rejected(self, capsys):
+        code, out, err = run(capsys, "query", "--d", "0", "--f", "x")
+        assert code == EXIT_INPUT and out == "" and "input error" in err
+
     def test_fourier_hadamard(self, capsys):
         code, out, _ = run(capsys, "query", "--d", "4", "--f", "x*y", "--ops", "hadamard,schmidt")
         assert code == EXIT_OK
@@ -170,6 +174,10 @@ class TestQuery:
 
 
 class TestEquiv:
+    def test_d0_rejected(self, capsys):
+        code, out, err = run(capsys, "equiv", "--d", "0", "--f", "x", "--g", "x")
+        assert code == EXIT_INPUT and out == "" and "input error" in err
+
     def test_f32_lfp_equivalent_to_fourier(self, capsys):
         code, out, _ = run(capsys, "equiv", "--d", "6", "--f", "x*y", "--g", "f32", "--mode", "lfp")
         assert code == EXIT_OK and out.startswith("equivalent")
@@ -250,6 +258,16 @@ class TestStabilizers:
             "--cycles", "[[0,1,2],[1,2,0]]",
         )
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "cycles", ["5", "[5]", "[[1.0,2,0],[1,2,0]]", "[[true,2,false],[1,2,0]]"]
+    )
+    def test_non_integer_cycles_rejected(self, capsys, cycles):
+        # the bools and the float sort to a valid permutation of range(3)
+        code, out, err = run(
+            capsys, "stabilizers", "--d", "3", "--f", "x*y", "--cycles", cycles,
+        )
+        assert code == EXIT_INPUT and out == "" and "input error" in err
 
     @pytest.mark.parametrize("d", [5, 12])
     def test_four_sites_unique(self, capsys, d):

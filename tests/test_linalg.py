@@ -219,6 +219,30 @@ class TestSingularValues:
         assert sv == sorted(sv, reverse=True)
 
 
+class TestSingularValuesOracle:
+    """Jacobi on Python float rows against Jacobi on numpy row slices: every
+    value must be the same float, down to the sign of zero, since the
+    catalogue JSON prints their round-off."""
+
+    @staticmethod
+    def same_floats(got, want):
+        return [repr(v) for v in got] == [repr(v) for v in want]
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_single_states(self, d):
+        rng = random.Random(200 + d)
+        cases = oracle_cases(d, rng) + [random_function(d, rng) for _ in range(4)]
+        for f in cases:
+            assert self.same_floats(singular_values(f), oracle.singular_values(f)), f
+
+    @pytest.mark.parametrize("name", ["cat3_all", "cat4_full", "cat6_teh"])
+    def test_catalogue_classes(self, request, name):
+        cat = request.getfixturevalue(name)
+        for rec in cat.orbits:
+            f = key_to_function(cat.d, rec.representative)
+            assert self.same_floats(cat.class_singular_values(rec), oracle.singular_values(f)), f
+
+
 class TestSubspaceMaximallyEntangled:
     def test_m_over_r_cases(self):
         f = special_function("m_over_r", 6, {"r": 2})  # 3xy

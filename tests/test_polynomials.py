@@ -23,7 +23,7 @@ from ffe.polynomials import (
     poly_to_teh,
     teh_to_poly,
 )
-from ffe.ring import FiniteFunction, prime_power_factors
+from ffe.ring import ArityError, FiniteFunction, prime_power_factors
 
 
 class TestCompositeDegree:
@@ -129,6 +129,12 @@ class TestParse:
         for bad in ["", "x+", "z*y", "x^y", "x^"]:
             with pytest.raises(PolynomialParseError):
                 parse_polynomial(bad, 3, 2)
+
+    @pytest.mark.parametrize("d, n", [(0, 2), (1, 2), (-2, 2), (13, 2), (3, 0), (3, 5)])
+    def test_shape_checked_before_parsing(self, d, n):
+        # the shape is checked before any coefficient is reduced mod d
+        with pytest.raises(ArityError):
+            parse_polynomial("x", d, n)
 
     def test_text_round_trip(self):
         rng = random.Random(7)

@@ -10,6 +10,7 @@ from ffe.ring import (
     ArityError,
     FiniteFunction,
     PermutationError,
+    check_permutation,
     compose_index_maps,
     emit_function,
     invert_permutation,
@@ -139,6 +140,18 @@ class TestComposition:
     def test_non_bijective_rejected(self):
         with pytest.raises(PermutationError):
             FiniteFunction.zero(3, 2).compose_site_permutation(0, [0, 0, 1])
+
+    @pytest.mark.parametrize("perm", [5, None, "012", [1.0, 2, 0], [True, 2, False], [[0], 1, 2]])
+    def test_non_integer_sequence_rejected(self, perm):
+        # [1.0, 2, 0] and [True, 2, False] sort to [0, 1, 2], so only the
+        # type check rejects them
+        with pytest.raises(PermutationError):
+            check_permutation(perm, 3)
+
+    def test_integer_sequences_accepted(self):
+        assert check_permutation([1, 2, 0], 3) == (1, 2, 0)
+        assert check_permutation((1, 2, 0), 3) == (1, 2, 0)
+        assert check_permutation(range(3), 3) == (0, 1, 2)
 
     def test_global_identity(self):
         rng = random.Random(3)
