@@ -1,7 +1,7 @@
 """Finite-function-encoded qudit states: exact algebra, stabilizers, and
 local-equivalence classification."""
 
-from .ring import FiniteFunction, ArityError, PermutationError
+from .ring import FiniteFunction, ArityError, PermutationError, ResidueError
 from .polynomials import (
     Polynomial,
     TensorEdgeHypergraph,

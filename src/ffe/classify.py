@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from .fpops import dephase
-from .linalg import singular_values, trace_power_coeffs
+from .linalg import singular_values_stack, trace_power_coeffs
 from .polynomials import block_texts, enumerate_polynomial_blocks
 from .ring import ArityError, FiniteFunction, check_shape
 
@@ -294,10 +294,14 @@ class Catalogue:
                 self.lu_of_lfp[cid] = rec.lu_class_id
 
     def class_singular_values(self, rec):
-        """Singular values of an LFP class's representative, computed once."""
+        """Singular values of an LFP class's representative. The first call
+        computes those of every class still lacking them, in one stack."""
         if rec.singular_values is None:
-            rep = key_to_function(self.d, rec.representative)
-            rec.singular_values = singular_values(rep)
+            todo = [r for r in self.orbits if r.singular_values is None]
+            reps = b"".join(r.representative for r in todo)
+            images = np.frombuffer(reps, dtype=np.uint8).reshape(-1, self.d, self.d)
+            for r, sv in zip(todo, singular_values_stack(images)):
+                r.singular_values = sv
         return rec.singular_values
 
     def to_json(self):

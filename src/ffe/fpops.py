@@ -15,6 +15,8 @@ import random
 from .ring import (
     ArityError,
     FiniteFunction,
+    as_int,
+    as_ints,
     check_permutation,
     compose_index_maps,
     invert_permutation,
@@ -29,7 +31,7 @@ class FPElement:
 
     def __init__(self, phase, perm, phase_fn):
         perm = check_permutation(perm, len(phase_fn.values))
-        object.__setattr__(self, "phase", phase % phase_fn.d)
+        object.__setattr__(self, "phase", as_int(phase) % phase_fn.d)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "phase_fn", phase_fn)
 
@@ -102,13 +104,13 @@ class LFPElement:
         parsed = []
         for perm, phases in sites:
             parsed.append(
-                (check_permutation(perm, d), tuple(v % d for v in phases))
+                (check_permutation(perm, d), tuple(v % d for v in as_ints(phases)))
             )
             if len(parsed[-1][1]) != d:
                 raise ArityError("site phase function must have d values")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "sites", tuple(parsed))
-        object.__setattr__(self, "global_phase", global_phase % d)
+        object.__setattr__(self, "global_phase", as_int(global_phase) % d)
 
     def __setattr__(self, name, value):
         raise AttributeError("LFPElement is immutable")

@@ -130,6 +130,37 @@ def is_butson_hadamard(f):
     return np.array_equal(coeffs, want)
 
 
+def _embeddings(images):
+    """(N, 2d, 2d) real embeddings [[Re, -Im], [Im, Re]] of rho = G / d^2 for
+    an (N, d, d) stack of image matrices.
+
+    Each Gram entry sum_j c_j omega^j is summed in CyclotomicInt.to_complex's
+    order with the float operations of Python's int * complex and complex
+    addition: term j is (c wr - 0.0 wi, c wi + 0.0 wr), added to a running
+    0.0. Only float64 multiplies, subtractions and additions are used, never
+    a complex-array product, so every entry is the float of the Python sum.
+    """
+    images = np.asarray(images)
+    d = images.shape[-1]
+    coeffs = _to_basis(d, _gram_counts(images)).astype(float)
+    omega = cmath.exp(2j * cmath.pi / d)
+    re = np.zeros(coeffs.shape[:-1])
+    im = np.zeros(coeffs.shape[:-1])
+    for j in range(phi_degree(d)):
+        w = omega**j
+        c = coeffs[..., j]
+        re += c * w.real - 0.0 * w.imag
+        im += c * w.imag + 0.0 * w.real
+    gc = np.empty(re.shape, dtype=complex)
+    gc.real, gc.imag = re, im
+    gc = gc / d**2
+    emb = np.empty(gc.shape[:-2] + (2 * d, 2 * d))
+    emb[..., :d, :d] = emb[..., d:, d:] = gc.real
+    emb[..., d:, :d] = gc.imag
+    emb[..., :d, d:] = -gc.imag
+    return emb
+
+
 def _jacobi_eigenvalues(a, eps=1e-12, max_sweeps=100):
     """Eigenvalues of a real symmetric matrix of float rows by cyclic Jacobi
     rotations, in place on Python floats: the IEEE operations of numpy rows."""
@@ -157,27 +188,70 @@ def _jacobi_eigenvalues(a, eps=1e-12, max_sweeps=100):
     raise ArithmeticError("Jacobi iteration failed to converge")
 
 
+def _jacobi_eigenvalues_stack(a, eps=1e-12, max_sweeps=100):
+    """_jacobi_eigenvalues for each matrix of an (N, n, n) stack, all rotated
+    in lockstep with the same IEEE operations, so each result is bit-identical.
+
+    A matrix leaves the stack at the top of the sweep where its off-diagonal
+    max falls below eps. At each (p, q), only the matrices with
+    |a_pq| >= eps rotate; their angles come from math.atan2/cos/sin, one
+    matrix at a time, since numpy's SIMD trig can differ from libm.
+    """
+    a = np.array(a, dtype=float)
+    size = a.shape[-1]
+    out = [None] * len(a)
+    ids = np.arange(len(a))
+    upper = np.triu_indices(size, 1)
+    for _ in range(max_sweeps):
+        done = np.abs(a[:, upper[0], upper[1]]).max(axis=1) < eps
+        for i, m in zip(ids[done].tolist(), a[done]):
+            out[i] = np.sort(np.diag(m))[::-1]
+        if done.all():
+            return out
+        a, ids = a[~done], ids[~done]
+        for p in range(size - 1):
+            for q in range(p + 1, size):
+                apq = a[:, p, q]
+                rot = np.flatnonzero(np.abs(apq) >= eps)
+                if not len(rot):
+                    continue
+                m = a if len(rot) == len(a) else a[rot]
+                two_apq = (2.0 * apq[rot]).tolist()
+                diff = (m[:, q, q] - m[:, p, p]).tolist()
+                theta = [0.5 * math.atan2(y, x) for y, x in zip(two_apq, diff)]
+                c = np.array([math.cos(t) for t in theta])[:, None]
+                s = np.array([math.sin(t) for t in theta])[:, None]
+                x, y = m[:, p], m[:, q]
+                m[:, p], m[:, q] = c * x - s * y, s * x + c * y
+                x, y = m[:, :, p], m[:, :, q]
+                m[:, :, p], m[:, :, q] = c * x - s * y, s * x + c * y
+                if m is not a:
+                    a[rot] = m
+    raise ArithmeticError("Jacobi iteration failed to converge")
+
+
+def _schmidt_coefficients(eig):
+    # each eigenvalue of rho appears twice in the embedding
+    return [math.sqrt(max(v, 0.0)) for v in eig[::2]]
+
+
 def singular_values(f):
     """Schmidt coefficients (descending) of the normalized state of f.
 
     Computed as square roots of eigenvalues of rho = G/d^2, via cyclic Jacobi
-    on the 2d x 2d real-symmetric embedding of the Hermitian Gram matrix,
-    whose entries are summed in the order of CyclotomicInt.to_complex.
+    on Python float rows of the 2d x 2d real-symmetric embedding of the
+    Hermitian Gram matrix (see _embeddings).
     """
     _require_bipartite(f)
-    d = f.d
-    omega = cmath.exp(2j * cmath.pi / d)
-    powers = [omega**j for j in range(phi_degree(d))]
-    gc = np.array(
-        [[sum(c * w for c, w in zip(e, powers)) for e in row]
-         for row in _gram_coeffs(f).tolist()]
-    ) / d**2
-    re, im = gc.real.tolist(), gc.imag.tolist()
-    emb = [r + [-x for x in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]
-    eig = _jacobi_eigenvalues(emb)
-    # each eigenvalue of rho appears twice in the embedding
-    vals = eig[::2]
-    return [math.sqrt(max(v, 0.0)) for v in vals]
+    return _schmidt_coefficients(_jacobi_eigenvalues(_embeddings(_image_stack(f))[0].tolist()))
+
+
+def singular_values_stack(images):
+    """singular_values of every matrix of an (N, d, d) stack of image
+    matrices, bit-identical to it, from one lockstep Jacobi over the stack."""
+    if not len(images):
+        return []
+    return [_schmidt_coefficients(eig) for eig in _jacobi_eigenvalues_stack(_embeddings(images))]
 
 
 def subspace_maximally_entangled(f, r):

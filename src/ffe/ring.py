@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 
 MIN_D, MAX_D = 2, 12
 MAX_N = 4
@@ -22,6 +23,10 @@ class PermutationError(ValueError):
     """Sequence is not a bijection on its index range."""
 
 
+class ResidueError(ValueError):
+    """A value or phase that is not an integer."""
+
+
 def check_shape(d, n):
     """Reject a local dimension or site count outside the supported range."""
     if not (MIN_D <= d <= MAX_D):
@@ -32,6 +37,25 @@ def check_shape(d, n):
 
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def as_int(v):
+    """v as a Python int: ints and numpy integers pass; bools, floats and
+    strings raise ResidueError."""
+    if isinstance(v, bool):
+        raise ResidueError(f"not an integer: {v!r}")
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ResidueError(f"not an integer: {v!r}") from None
+
+
+def as_ints(values):
+    """as_int of every value, as a tuple."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    return tuple(map(as_int, values))
 
 
 def check_permutation(perm, size):
@@ -75,7 +99,7 @@ class FiniteFunction:
 
     def __init__(self, d, n, values):
         check_shape(d, n)
-        values = tuple(v % d for v in values)
+        values = tuple(v % d for v in as_ints(values))
         if len(values) != d**n:
             raise ArityError(f"expected {d**n} values, got {len(values)}")
         object.__setattr__(self, "d", d)

@@ -96,13 +96,19 @@ def jacobi_eigenvalues(m, eps=1e-12, max_sweeps=100):
     raise ArithmeticError("Jacobi iteration failed to converge")
 
 
-def singular_values(f):
-    """Square roots of the eigenvalues of G / d^2, each taken once from the
-    doubled spectrum of the embedding [[Re, -Im], [Im, Re]]."""
+def embedding(f):
+    """The real embedding [[Re, -Im], [Im, Re]] of G / d^2, entry by entry
+    through CyclotomicInt.to_complex."""
     d = f.d
     gc = np.array([[e.to_complex() for e in row] for row in gram(f)]) / d**2
     re, im = gc.real, gc.imag
-    eig = jacobi_eigenvalues(np.block([[re, -im], [im, re]]))
+    return np.block([[re, -im], [im, re]])
+
+
+def singular_values(f):
+    """Square roots of the eigenvalues of G / d^2, each taken once from the
+    doubled spectrum of the embedding."""
+    eig = jacobi_eigenvalues(embedding(f))
     return [math.sqrt(max(v, 0.0)) for v in eig[::2]]
 
 

@@ -2,6 +2,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ffe.fpops import (
@@ -13,7 +14,7 @@ from ffe.fpops import (
     is_dephased,
     random_lfp,
 )
-from ffe.ring import ArityError, FiniteFunction
+from ffe.ring import ArityError, FiniteFunction, ResidueError
 
 
 def random_function(d, n, rng):
@@ -147,6 +148,25 @@ class TestLFP:
     def test_json_round_trip(self):
         el = random_lfp(4, 2, 99)
         assert LFPElement.from_json(el.to_json()) == el
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
+    def test_non_integer_phases_rejected(self, bad):
+        ident = (0, 1, 2)
+        with pytest.raises(ResidueError):
+            LFPElement(3, [((1, 2, 0), (bad, 0, 0)), (ident, (0, 0, 0))])
+        with pytest.raises(ResidueError):
+            LFPElement(3, [(ident, (0, 0, 0))], global_phase=bad)
+        with pytest.raises(ResidueError):
+            FPElement(bad, range(3), FiniteFunction.zero(3, 1))
+
+    def test_float_and_bool_phases_of_one_site_rejected(self):
+        with pytest.raises(ResidueError):
+            LFPElement(3, [((1, 2, 0), (1.5, True, 0)), ((0, 1, 2), (0, 0, 0))])
+
+    def test_numpy_integer_phases_accepted(self):
+        el = LFPElement(3, [((1, 2, 0), np.array([4, 0, 2])), ((0, 1, 2), (0, 0, 0))], np.int64(5))
+        assert el == LFPElement(3, [((1, 2, 0), (1, 0, 2)), ((0, 1, 2), (0, 0, 0))], 2)
+        assert FPElement(np.int64(4), range(3), FiniteFunction.zero(3, 1)).phase == 1
 
     def test_seed_stability_and_coverage(self):
         assert random_lfp(3, 2, 42) == random_lfp(3, 2, 42)

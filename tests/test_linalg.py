@@ -10,6 +10,7 @@ import pytest
 from ffe.classify import key_to_function, special_function
 from ffe.cyclo import CyclotomicInt
 from ffe.linalg import (
+    _embeddings,
     char_poly_coeffs,
     f_two_by_two,
     gram,
@@ -19,6 +20,7 @@ from ffe.linalg import (
     rank2_trace_formula,
     schmidt_rank,
     singular_values,
+    singular_values_stack,
     state_vector,
     subspace_maximally_entangled,
     trace_power_coeffs,
@@ -220,9 +222,10 @@ class TestSingularValues:
 
 
 class TestSingularValuesOracle:
-    """Jacobi on Python float rows against Jacobi on numpy row slices: every
-    value must be the same float, down to the sign of zero, since the
-    catalogue JSON prints their round-off."""
+    """Jacobi on Python float rows, and the lockstep Jacobi over a stack,
+    against Jacobi on numpy row slices: every value must be the same float,
+    down to the sign of zero, since the catalogue JSON prints their
+    round-off."""
 
     @staticmethod
     def same_floats(got, want):
@@ -241,6 +244,47 @@ class TestSingularValuesOracle:
         for rec in cat.orbits:
             f = key_to_function(cat.d, rec.representative)
             assert self.same_floats(cat.class_singular_values(rec), oracle.singular_values(f)), f
+
+    @staticmethod
+    def mixed_stack(d):
+        """Zero, Fourier, random and rank 1..3 states in one stack, so that
+        matrices leave the lockstep Jacobi at different sweeps."""
+        rng = random.Random(300 + d)
+        cases = oracle_cases(d, rng) + [random_function(d, rng) for _ in range(4)]
+        return cases, np.array([f.values for f in cases]).reshape(-1, d, d)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_stack(self, d):
+        cases, images = self.mixed_stack(d)
+        got = singular_values_stack(images)
+        assert len(got) == len(cases)
+        for f, values in zip(cases, got):
+            assert self.same_floats(values, oracle.singular_values(f)), f
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_stack_of_one(self, d):
+        cases, images = self.mixed_stack(d)
+        for f, image in zip(cases, images):
+            (values,) = singular_values_stack(image[None])
+            assert self.same_floats(values, oracle.singular_values(f)), f
+
+    def test_empty_stack(self):
+        assert singular_values_stack([]) == []
+        assert singular_values_stack(np.zeros((0, 4, 4), dtype=np.int64)) == []
+
+    @pytest.mark.parametrize("name", ["cat3_all", "cat4_full", "cat4_teh", "cat6_teh"])
+    def test_stack_catalogue_classes(self, request, name):
+        cat = request.getfixturevalue(name)
+        images = np.array([list(rec.representative) for rec in cat.orbits]).reshape(-1, cat.d, cat.d)
+        for rec, values in zip(cat.orbits, singular_values_stack(images)):
+            f = key_to_function(cat.d, rec.representative)
+            assert self.same_floats(values, oracle.singular_values(f)), f
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_embeddings_bitwise(self, d):
+        cases, images = self.mixed_stack(d)
+        for f, emb in zip(cases, _embeddings(images)):
+            assert np.array_equal(emb.view(np.uint64), oracle.embedding(f).view(np.uint64)), f
 
 
 class TestSubspaceMaximallyEntangled:

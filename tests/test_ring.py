@@ -2,6 +2,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from ffe.ring import (
     ArityError,
     FiniteFunction,
     PermutationError,
+    ResidueError,
     check_permutation,
     compose_index_maps,
     emit_function,
@@ -63,6 +65,19 @@ class TestConstruction:
         f = FiniteFunction.zero(2, 1)
         with pytest.raises(AttributeError):
             f.d = 3
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1", None, np.bool_(True)])
+    def test_non_integer_values_rejected(self, bad):
+        with pytest.raises(ResidueError):
+            FiniteFunction(3, 2, [0] * 8 + [bad])
+        with pytest.raises(ResidueError):
+            FiniteFunction(3, 2, [bad] * 9)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        for values in (np.arange(9), np.arange(9, dtype=np.uint8), [np.int64(4)] * 9):
+            f = FiniteFunction(3, 2, values)
+            assert f == FiniteFunction(3, 2, [int(v) for v in values])
+            assert {type(v) for v in f.values} == {int}
 
     def test_from_matrix_row_is_first_argument(self):
         f = FiniteFunction.from_matrix(2, [[0, 1], [2, 3]])
