@@ -293,13 +293,18 @@ class Catalogue:
             for cid in rec.member_lfp_class_ids:
                 self.lu_of_lfp[cid] = rec.lu_class_id
 
+    def representative_images(self, records):
+        """(N, d, d) uint8 stack of the image matrices of the records'
+        representatives."""
+        reps = b"".join(r.representative for r in records)
+        return np.frombuffer(reps, dtype=np.uint8).reshape(-1, self.d, self.d)
+
     def class_singular_values(self, rec):
         """Singular values of an LFP class's representative. The first call
         computes those of every class still lacking them, in one stack."""
         if rec.singular_values is None:
             todo = [r for r in self.orbits if r.singular_values is None]
-            reps = b"".join(r.representative for r in todo)
-            images = np.frombuffer(reps, dtype=np.uint8).reshape(-1, self.d, self.d)
+            images = self.representative_images(todo)
             for r, sv in zip(todo, singular_values_stack(images)):
                 r.singular_values = sv
         return rec.singular_values
@@ -527,9 +532,7 @@ def classify_lfp(d, scope="all", threads=None):
 
 def classify_lu(cat):
     """Group LFP classes by the exact trace-power signature of representatives."""
-    d = cat.d
-    reps = b"".join(rec.representative for rec in cat.orbits)
-    sigs = trace_power_coeffs(np.frombuffer(reps, dtype=np.uint8).reshape(-1, d, d), d)
+    sigs = trace_power_coeffs(cat.representative_images(cat.orbits), cat.d)
     groups = {}
     for rec, sig in zip(cat.orbits, sigs.tolist()):
         groups.setdefault(tuple(map(tuple, sig)), []).append(rec.lfp_class_id)

@@ -28,6 +28,12 @@ def _require_bipartite(f):
 _P = 2**26 - 5
 _INV_2_64 = pow(2**64, -1, _P)
 
+# Shared by the per-state and stack Jacobi routines, whose results must agree
+# bit for bit: a rotation is skipped below _JACOBI_EPS, and a matrix is done
+# once its off-diagonal max falls below it.
+_JACOBI_EPS = 1e-12
+_JACOBI_MAX_SWEEPS = 100
+
 
 def _image_stack(f):
     return np.array(f.values, dtype=np.int64).reshape(1, f.d, f.d)
@@ -135,9 +141,7 @@ def _embeddings(images):
     an (N, d, d) stack of image matrices.
 
     Each Gram entry sum_j c_j omega^j is summed in CyclotomicInt.to_complex's
-    order with the float operations of Python's int * complex and complex
-    addition: term j is (c wr - 0.0 wi, c wi + 0.0 wr), added to a running
-    0.0. Only float64 multiplies, subtractions and additions are used, never
+    order from a running 0.0 with float64 multiplies and additions only, never
     a complex-array product, so every entry is the float of the Python sum.
     """
     images = np.asarray(images)
@@ -149,8 +153,8 @@ def _embeddings(images):
     for j in range(phi_degree(d)):
         w = omega**j
         c = coeffs[..., j]
-        re += c * w.real - 0.0 * w.imag
-        im += c * w.imag + 0.0 * w.real
+        re += c * w.real
+        im += c * w.imag
     gc = np.empty(re.shape, dtype=complex)
     gc.real, gc.imag = re, im
     gc = gc / d**2
@@ -161,21 +165,21 @@ def _embeddings(images):
     return emb
 
 
-def _jacobi_eigenvalues(a, eps=1e-12, max_sweeps=100):
+def _jacobi_eigenvalues(a):
     """Eigenvalues of a real symmetric matrix of float rows by cyclic Jacobi
     rotations, in place on Python floats: the IEEE operations of numpy rows."""
     size = len(a)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = 0.0
         for p in range(size - 1):
             for x in a[p][p + 1:]:
                 off = max(off, abs(x))
-        if off < eps:
+        if off < _JACOBI_EPS:
             return np.sort([a[i][i] for i in range(size)])[::-1]
         for p in range(size - 1):
             for q in range(p + 1, size):
                 apq = a[p][q]
-                if abs(apq) < eps:
+                if abs(apq) < _JACOBI_EPS:
                     continue
                 theta = 0.5 * math.atan2(2.0 * apq, a[q][q] - a[p][p])
                 c, s = math.cos(theta), math.sin(theta)
@@ -188,22 +192,22 @@ def _jacobi_eigenvalues(a, eps=1e-12, max_sweeps=100):
     raise ArithmeticError("Jacobi iteration failed to converge")
 
 
-def _jacobi_eigenvalues_stack(a, eps=1e-12, max_sweeps=100):
+def _jacobi_eigenvalues_stack(a):
     """_jacobi_eigenvalues for each matrix of an (N, n, n) stack, all rotated
     in lockstep with the same IEEE operations, so each result is bit-identical.
 
     A matrix leaves the stack at the top of the sweep where its off-diagonal
-    max falls below eps. At each (p, q), only the matrices with
-    |a_pq| >= eps rotate; their angles come from math.atan2/cos/sin, one
-    matrix at a time, since numpy's SIMD trig can differ from libm.
+    max falls below _JACOBI_EPS. At each (p, q), only the matrices with
+    |a_pq| >= _JACOBI_EPS rotate; their angles come from math.atan2/cos/sin,
+    one matrix at a time, since numpy's SIMD trig can differ from libm.
     """
     a = np.array(a, dtype=float)
     size = a.shape[-1]
     out = [None] * len(a)
     ids = np.arange(len(a))
     upper = np.triu_indices(size, 1)
-    for _ in range(max_sweeps):
-        done = np.abs(a[:, upper[0], upper[1]]).max(axis=1) < eps
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        done = np.abs(a[:, upper[0], upper[1]]).max(axis=1) < _JACOBI_EPS
         for i, m in zip(ids[done].tolist(), a[done]):
             out[i] = np.sort(np.diag(m))[::-1]
         if done.all():
@@ -212,7 +216,7 @@ def _jacobi_eigenvalues_stack(a, eps=1e-12, max_sweeps=100):
         for p in range(size - 1):
             for q in range(p + 1, size):
                 apq = a[:, p, q]
-                rot = np.flatnonzero(np.abs(apq) >= eps)
+                rot = np.flatnonzero(np.abs(apq) >= _JACOBI_EPS)
                 if not len(rot):
                     continue
                 m = a if len(rot) == len(a) else a[rot]
