@@ -2,23 +2,25 @@
 equivalence and stabilizer checks, lower bounds, and reference-table
 verification.
 
-Exit codes: 0 success, 1 input error, 2 budget exceeded, 3 conformance
-mismatch.  Standard output is machine-parseable; errors go to stderr.
+Exit codes: 0 success, 1 input error (usage errors included), 2 budget
+exceeded, 3 conformance mismatch.  Standard output is machine-parseable;
+errors go to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
+import math
 import sys
-import time
 
 from . import classify as classify_mod
 from . import linalg, polynomials, stabilizer, verify
 from .classify import BudgetError, classify_lfp, classify_lu, special_function
 from .fpops import dephase
 from .polynomials import EnumerationTooLarge
-from .ring import ArityError, parse_function
+from .ring import ArityError, check_shape, parse_function
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -35,10 +37,14 @@ _NAMED = {
 
 
 def parse_function_literal(text, d):
-    """Polynomial string, image-matrix JSON (leading '{'), or a named state."""
+    """Polynomial string, image-matrix JSON (leading '{'), or a named state,
+    as a function over Z_d: a JSON or named state of another d is rejected."""
     text = text.strip()
     if text.startswith("{"):
-        return parse_function(text)
+        f = parse_function(text)
+        if f.d != d:
+            raise ArityError(f"function JSON has d={f.d}, but --d is {d}")
+        return f
     if text in _NAMED:
         name, want_d = _NAMED[text]
         if want_d is not None and d != want_d:
@@ -95,8 +101,6 @@ def cmd_query(args):
 def cmd_equiv(args):
     f = parse_function_literal(args.f, args.d)
     g = parse_function_literal(args.g, args.d)
-    if f.d != g.d:
-        raise ArityError("mismatched d between the two states")
     if args.mode == "lfp":
         same = classify_mod.membership_check(f, g)
         witness = "orbit membership of the dephased representative"
@@ -129,11 +133,27 @@ def cmd_stabilizers(args):
     return EXIT_OK
 
 
+def _decimal_lower_bound(d, n):
+    """classify.lower_bound(d, n) as an exact decimal.Decimal.
+
+    str() of an int stops at the interpreter's int-to-str digit limit (4300 by
+    default), which the bound passes (22,295 digits at d=12, n=4), and
+    converting a large int to Decimal is quadratic in its digits. Computing
+    the bound in decimal arithmetic avoids both; the context traps Inexact
+    and Rounded, so any rounding raises instead of changing a digit.
+    """
+    check_shape(d, n)
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded],
+    )
+    num = ctx.power(decimal.Decimal(d), decimal.Decimal(d**n - n * (d - 1) - 1))
+    q, r = ctx.divmod(num, decimal.Decimal(math.factorial(d) ** n))
+    return ctx.add(q, 1) if r else q
+
+
 def cmd_lower_bound(args):
-    # str() of an int stops at the interpreter's int-to-str digit limit (4300
-    # by default), which the bound passes (22,295 digits at d=12, n=4); an
-    # exact Decimal prints every digit and leaves that global limit alone
-    print(decimal.Decimal(classify_mod.lower_bound(args.d, args.n)))
+    print(_decimal_lower_bound(args.d, args.n))
     return EXIT_OK
 
 
@@ -153,8 +173,23 @@ def cmd_verify_appendix(args):
     return EXIT_OK if report["ok"] else EXIT_CONFORMANCE
 
 
+class _UsageError(Exception):
+    """An argparse rejection, reported by main as an input error."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse reports a usage error by exiting 2, which the CLI reserves for
+    # an exceeded budget; raising lets main return EXIT_INPUT instead
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ffe",
         description="Finite-function-encoded states: classification and exact invariants",
     )
@@ -203,8 +238,20 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # argparse builds a help formatter per argument, so the tree costs far
+    # more than a parse; it is built on the first call and reused after it
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.fn(args)
     except (BudgetError, EnumerationTooLarge) as exc:

@@ -61,6 +61,26 @@ def _power_table(d):
     return tuple(rows)
 
 
+def mul_coeffs(d, a, b):
+    """Product of two reduced Z[omega_d] coefficient sequences, as a list."""
+    phi = len(a)
+    raw = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    raw[i + j] += x * y
+    table = _power_table(d)
+    out = raw[:phi]
+    for k in range(phi, 2 * phi - 1):
+        c = raw[k]
+        if c:
+            row = table[k]
+            for j in range(phi):
+                out[j] += c * row[j]
+    return out
+
+
 class CyclotomicInt:
     """Element of Z[omega_d] as a reduced integer coefficient vector."""
 
@@ -121,22 +141,7 @@ class CyclotomicInt:
         if isinstance(other, int):
             return CyclotomicInt(self.d, [other * a for a in self.coeffs])
         self._check(other)
-        phi = len(self.coeffs)
-        raw = [0] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        raw[i + j] += a * b
-        table = _power_table(self.d)
-        out = list(raw[:phi])
-        for k in range(phi, 2 * phi - 1):
-            c = raw[k]
-            if c:
-                row = table[k]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CyclotomicInt(self.d, out)
+        return CyclotomicInt(self.d, mul_coeffs(self.d, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CyclotomicInt, CyclotomicRat, _power_table, phi_degree
+from .cyclo import CyclotomicInt, CyclotomicRat, _power_table, mul_coeffs, phi_degree
 from .ring import ArityError, FiniteFunction
 
 
@@ -117,15 +117,43 @@ def normalized_trace_powers(f, k_max=None):
     )
 
 
+def _newton_numerators(f):
+    """[F_0, ..., F_d] with F_k = k! d^(2k) e_k, e_k the elementary symmetric
+    functions of the eigenvalues of rho = G / d^2, as Z[omega_d] coefficient
+    lists.
+
+    With T_1 = tr G = d^2 and T_i = tr G^i, Newton's identities
+    k e_k = sum_i (-1)^(i-1) e_(k-i) T_i / d^(2i) become the integer recurrence
+    F_k = sum_{i=1..k} (-1)^(i-1) (k-1)!/(k-i)! F_(k-i) T_i, F_0 = 1.
+    """
+    _require_bipartite(f)
+    d = f.d
+    phi = phi_degree(d)
+    traces = [None, [d * d] + [0] * (phi - 1)]
+    traces += trace_power_coeffs(_image_stack(f), d)[0].tolist()
+    numerators = [[1] + [0] * (phi - 1)]
+    for k in range(1, d + 1):
+        acc = [0] * phi
+        scale = 1  # (k-1)! / (k-i)!
+        for i in range(1, k + 1):
+            term = mul_coeffs(d, numerators[k - i], traces[i])
+            factor = scale if i % 2 else -scale
+            for j in range(phi):
+                acc[j] += factor * term[j]
+            scale *= k - i
+        numerators.append(acc)
+    return numerators
+
+
 def schmidt_rank(f):
     """Exact rank of the coefficient matrix over Q(omega_d).
 
     rho = G / d^2 is positive semidefinite, so its elementary symmetric
     functions e_k of the eigenvalues are positive up to its rank and zero
-    beyond it: the rank is the largest k with c_k = (-1)^k e_k nonzero.
+    beyond it: the rank is the largest k with F_k = k! d^(2k) e_k nonzero.
     """
-    coeffs = char_poly_coeffs(f)
-    return max(k for k, c in enumerate(coeffs, start=1) if not c.is_zero())
+    numerators = _newton_numerators(f)
+    return max(k for k, num in enumerate(numerators) if any(num))
 
 
 def is_butson_hadamard(f):
@@ -277,23 +305,16 @@ def subspace_maximally_entangled(f, r):
 def char_poly_coeffs(f):
     """Coefficients (c_1, ..., c_d) of det(x I - rho) = x^d + c_1 x^(d-1) + ...
 
-    Derived from exact trace powers via Newton's identities over Q(omega_d);
-    c_1 = -tr(rho) = -1 always.
+    c_k = (-1)^k e_k = (-1)^k F_k / (k! d^(2k)), from the integer Newton
+    recurrence of _newton_numerators; c_1 = -tr(rho) = -1 always.
     """
-    _require_bipartite(f)
     d = f.d
-    raw = (CyclotomicInt.from_int(d, d * d),) + trace_powers(f, d)
-    p = [None] + [CyclotomicRat(t, d ** (2 * k)) for k, t in enumerate(raw, start=1)]
-    e = [CyclotomicRat.one(d)]
-    for k in range(1, d + 1):
-        acc = CyclotomicRat.zero(d)
-        sign = 1
-        for i in range(1, k + 1):
-            term = e[k - i] * p[i]
-            acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        e.append(acc * CyclotomicRat.from_fraction(d, Fraction(1, k)))
-    return [(-e[k] if k % 2 == 1 else e[k]) for k in range(1, d + 1)]
+    numerators = _newton_numerators(f)
+    return [
+        CyclotomicRat(CyclotomicInt(d, num if k % 2 == 0 else [-c for c in num]),
+                      math.factorial(k) * d ** (2 * k))
+        for k, num in enumerate(numerators[1:], start=1)
+    ]
 
 
 def rank2_trace_formula(d, n1, n2):

@@ -3,6 +3,8 @@ check.
 
 - `trace_powers` builds the Gram matrix entry by entry and multiplies it with
   CyclotomicInt arithmetic, one entry at a time.
+- `char_poly_coeffs` runs Newton's identities in CyclotomicRat arithmetic on
+  this module's trace powers, one exact rational power sum at a time.
 - `exact_rank` finds the rank over Q(omega_d) through the regular
   representation: each element becomes the phi x phi integer matrix of
   multiplication by it, with the cyclotomic polynomial found here by
@@ -14,11 +16,12 @@ check.
   is built from this module's Gram matrix through CyclotomicInt.to_complex.
 """
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from ffe.cyclo import CyclotomicInt
+from ffe.cyclo import CyclotomicInt, CyclotomicRat
 
 
 def gram(f):
@@ -67,6 +70,24 @@ def trace_powers(f, k_max=None):
         power = _mat_mul(power, g, d)
         out.append(_trace(power, d))
     return tuple(out)
+
+
+def char_poly_coeffs(f):
+    """(c_1, ..., c_d) of det(x I - rho), rho = G / d^2, by Newton's identities
+    k e_k = sum_i (-1)^(i-1) e_(k-i) p_i over Q(omega_d), p_i = tr rho^i."""
+    d = f.d
+    raw = (CyclotomicInt.from_int(d, d * d),) + trace_powers(f, d)
+    p = [None] + [CyclotomicRat(t, d ** (2 * k)) for k, t in enumerate(raw, start=1)]
+    e = [CyclotomicRat.one(d)]
+    for k in range(1, d + 1):
+        acc = CyclotomicRat.zero(d)
+        sign = 1
+        for i in range(1, k + 1):
+            term = e[k - i] * p[i]
+            acc = acc + (term if sign > 0 else -term)
+            sign = -sign
+        e.append(acc * CyclotomicRat.from_fraction(d, Fraction(1, k)))
+    return [(-e[k] if k % 2 == 1 else e[k]) for k in range(1, d + 1)]
 
 
 def jacobi_eigenvalues(m, eps=1e-12, max_sweeps=100):

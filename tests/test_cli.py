@@ -1,13 +1,18 @@
 """Command-line surface: subcommands, exit codes, output formats."""
+import decimal
 import json
+import os
 import random
+import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from ffe import classify
-from ffe.classify import special_function
+from ffe import classify, cli
+from ffe.classify import lower_bound, special_function
 from ffe.cli import EXIT_BUDGET, EXIT_CONFORMANCE, EXIT_INPUT, EXIT_OK, main
 from ffe.fpops import random_lfp
 from ffe.linalg import trace_powers
@@ -317,10 +322,103 @@ class TestLowerBound:
             assert int(piece) == low
         assert closed == 0
 
+    def test_digits_match_exact_bound(self, capsys):
+        for d in range(2, 13):
+            for n in range(1, 5):
+                code, out, _ = run(capsys, "lower-bound", "--d", str(d), "--n", str(n))
+                assert code == EXIT_OK
+                assert out == f"{decimal.Decimal(lower_bound(d, n))}\n", (d, n)
+
     @pytest.mark.parametrize("d,n", [(1, 2), (3, 0), (13, 2)])
     def test_out_of_range_rejected(self, capsys, d, n):
         code, out, err = run(capsys, "lower-bound", "--d", str(d), "--n", str(n))
         assert code == EXIT_INPUT and out == "" and "outside supported range" in err
+
+
+class TestJsonLiteralD:
+    LITERAL = '{"d":3,"n":2,"values":[[0,1,2],[1,2,0],[2,0,1]]}'
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--d", "4", "--f", LITERAL],
+        ["equiv", "--d", "6", "--f", LITERAL, "--g", LITERAL],
+        ["equiv", "--d", "3", "--f", LITERAL, "--g", '{"d":2,"n":2,"values":[[0,0],[0,1]]}'],
+        ["stabilizers", "--d", "5", "--f", LITERAL],
+    ])
+    def test_mismatch_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT and out == "" and "input error" in err and "--d" in err
+
+    def test_match_accepted(self, capsys):
+        code, out, _ = run(capsys, "query", "--d", "3", "--f", self.LITERAL, "--ops", "schmidt")
+        assert code == EXIT_OK and json.loads(out) == {"schmidt": 1}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["query", "--d", "x", "--f", "x*y"],
+        ["verify-appendix", "--d", "5"],
+        ["no-such-command"],
+        [],
+        ["query", "--d", "3"],
+        ["lower-bound", "--d", "3", "--m", "2"],
+    ])
+    def test_exit_input_with_usage(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("usage: ffe") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["query", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ffe")
+
+
+class TestSharedParser:
+    ARGVS = [
+        ["classify", "--d", "3", "--lu"],
+        ["query", "--d", "4", "--f", "x*y^2 + x^2*y + 2*x*y"],
+        ["query", "--d", "6", "--f", "s6", "--ops", "sv,hadamard,is-poly"],
+        ["equiv", "--d", "3", "--f", "x*y", "--g", "2*x*y", "--mode", "lfp"],
+        ["equiv", "--d", "4", "--f", "x*y", "--g", "f22", "--mode", "lu"],
+        ["stabilizers", "--d", "3", "--f", "x^2*y", "--check-unique", "--check-internal"],
+        ["stabilizers", "--d", "3", "--f", "x*y", "--cycles", "[[1,2,0],[2,0,1]]"],
+        ["lower-bound", "--d", "5", "--n", "3"],
+        ["lower-bound", "--d", "4"],
+        ["verify-appendix", "--d", "3"],
+        ["query", "--d", "x", "--f", "x*y"],
+        ["classify", "--d", "5"],
+        ["query", "--d", "3", "--f", "x^"],
+        ["query", "--d", "4", "--f", '{"d":3,"n":2,"values":[[0,0,0],[0,1,2],[0,2,1]]}'],
+    ]
+
+    def test_parser_built_on_first_call_only(self):
+        # the shared parser must not be built at import: a fresh interpreter
+        # that imports the CLI has built none
+        probe = "import ffe.cli as c; print(c._parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == "0"
+        assert cli._parser() is cli._parser()
+
+    def test_interleaved_calls_match_fresh_parser(self, capsys, monkeypatch):
+        # every subcommand, a usage error, a budget error and a bad literal,
+        # run twice over in one process through the shared parser, answer
+        # exactly as a parser built for the call does
+        def call(argv):
+            # classify reports its run time, the one output that may differ
+            code, out, err = run(capsys, *argv)
+            return code, re.sub(r"elapsed=\S+", "elapsed=", out), err
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            fresh = [call(argv) for argv in self.ARGVS]
+        assert {code for code, _, _ in fresh} == {EXIT_OK, EXIT_INPUT, EXIT_BUDGET}
+        for order in (self.ARGVS, self.ARGVS[::-1]):
+            shared = {tuple(argv): call(argv) for argv in order}
+            assert [shared[tuple(argv)] for argv in self.ARGVS] == fresh
 
 
 class TestVerifyAppendix:

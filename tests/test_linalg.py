@@ -306,7 +306,24 @@ class TestSubspaceMaximallyEntangled:
             assert not subspace_maximally_entangled(zero, r)
 
 
+def newton_cases(d, rng):
+    """oracle_cases plus every m_over_r state at d: rank r for each divisor r."""
+    return oracle_cases(d, rng) + [
+        special_function("m_over_r", d, {"r": r}) for r in range(1, d + 1) if d % r == 0
+    ]
+
+
 class TestCharPoly:
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_matches_newton_oracle(self, d):
+        # the integer recurrence against Newton's identities run in
+        # CyclotomicRat on the oracle's entry-by-entry trace powers
+        rng = random.Random(300 + d)
+        for f in newton_cases(d, rng):
+            want = oracle.char_poly_coeffs(f)
+            assert char_poly_coeffs(f) == want
+            assert schmidt_rank(f) == max(k for k, c in enumerate(want, start=1) if not c.is_zero())
+
     def test_c1_is_minus_one(self):
         rng = random.Random(7)
         for d in (3, 4, 5):
