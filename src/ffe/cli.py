@@ -18,7 +18,6 @@ import sys
 from . import classify as classify_mod
 from . import linalg, polynomials, stabilizer, verify
 from .classify import BudgetError, classify_lfp, classify_lu, special_function
-from .fpops import dephase
 from .polynomials import EnumerationTooLarge
 from .ring import ArityError, check_shape, parse_function
 
@@ -54,7 +53,7 @@ def parse_function_literal(text, d):
 
 
 def cmd_classify(args):
-    cat = classify_lfp(args.d, args.scope, threads=args.threads)
+    cat = classify_lfp(args.d, args.scope)
     if args.lu:
         cat = classify_lu(cat)
     if args.out:
@@ -201,7 +200,6 @@ def build_parser():
     p.add_argument("--lu", action="store_true")
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("query", help="invariants of a single state")

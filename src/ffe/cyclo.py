@@ -248,9 +248,6 @@ class CyclotomicRat:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_rational(self):
-        return self.num.is_integer()
-
     def as_fraction(self):
         return Fraction(self.num.integer_value(), self.den)
 

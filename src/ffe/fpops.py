@@ -8,9 +8,10 @@ X_pi Z_h |g> = omega^c |(g+h) o pi^(-1)>.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import random
+
+import numpy as np
 
 from .ring import (
     ArityError,
@@ -18,9 +19,9 @@ from .ring import (
     as_int,
     as_ints,
     check_permutation,
+    check_shape,
     compose_index_maps,
     invert_permutation,
-    site_permutation_as_global,
 )
 
 
@@ -101,6 +102,8 @@ class LFPElement:
     __slots__ = ("d", "sites", "global_phase")
 
     def __init__(self, d, sites, global_phase=0):
+        sites = tuple(sites)
+        check_shape(d, len(sites))
         parsed = []
         for perm, phases in sites:
             parsed.append(
@@ -127,21 +130,35 @@ class LFPElement:
     def lift(self):
         """The global FP element: product permutation, summed phases."""
         d, n = self.d, self.n
-        perm = tuple(range(d**n))
+        perm = np.arange(d**n).reshape((d,) * n)
         for i, (site_perm, _) in enumerate(self.sites):
-            perm = compose_index_maps(
-                perm, site_permutation_as_global(d, n, i, site_perm)
-            )
-        values = []
-        for x in itertools.product(range(d), repeat=n):
-            values.append(sum(self.sites[i][1][x[i]] for i in range(n)))
-        return FPElement(self.global_phase, perm, FiniteFunction(d, n, values))
+            perm = np.take(perm, site_perm, axis=i)
+        phases = sum(
+            np.reshape(h, [d if j == i else 1 for j in range(n)])
+            for i, (_, h) in enumerate(self.sites)
+        )
+        return FPElement(
+            self.global_phase,
+            perm.ravel().tolist(),
+            FiniteFunction(d, n, phases.ravel().tolist()),
+        )
 
     def multiply(self, other):
-        # the product of local elements is local: the lifted product has a
-        # per-site permutation and a phase function that is a sum of
-        # single-variable functions, so it splits back losslessly.
-        return _local_from_lift(self.lift().multiply(other.lift()))
+        """Site-by-site product (pi_i, h_i)(sigma_i, g_i) =
+        (pi_i o sigma_i, h_i o sigma_i + g_i)."""
+        if (self.d, self.n) != (other.d, other.n):
+            raise ArityError("shape mismatch in LFP product")
+        perms, phases = [], []
+        for (pi, h), (sigma, g) in zip(self.sites, other.sites):
+            perms.append([pi[s] for s in sigma])
+            phases.append([h[s] + gk for s, gk in zip(sigma, g)])
+        # every site j >= 1 is made zero at 0, its constant moving to site 0
+        consts = [0] + [phi[0] for phi in phases[1:]]
+        consts[0] = -sum(consts)
+        phases = [[v - c for v in phi] for phi, c in zip(phases, consts)]
+        return LFPElement(
+            self.d, list(zip(perms, phases)), self.global_phase + other.global_phase
+        )
 
     def to_json(self):
         return json.dumps(
@@ -156,9 +173,12 @@ class LFPElement:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
+        sites = obj.get("sites") if isinstance(obj, dict) else None
+        if not isinstance(sites, list) or not sites:
+            raise ArityError("LFP element JSON requires a nonempty 'sites' list")
         return cls(
-            len(obj["sites"][0]["perm"]),
-            [(s["perm"], s["phase"]) for s in obj["sites"]],
+            len(sites[0]["perm"]),
+            [(s["perm"], s["phase"]) for s in sites],
             obj.get("global_phase", 0),
         )
 
@@ -174,42 +194,6 @@ class LFPElement:
 
     def __repr__(self):
         return f"LFPElement(d={self.d}, sites={self.sites}, global_phase={self.global_phase})"
-
-
-def _local_from_lift(el):
-    """Split a lifted local element back into per-site data."""
-    d, n = el.d, el.n
-
-    def point_of_index(idx):
-        out = []
-        for _ in range(n):
-            out.append(idx % d)
-            idx //= d
-        return tuple(reversed(out))
-
-    # recover each site permutation by probing single-site unit points
-    sites = []
-    for i in range(n):
-        perm = []
-        for k in range(d):
-            x = tuple(k if j == i else 0 for j in range(n))
-            idx = 0
-            for c in x:
-                idx = idx * d + c
-            perm.append(point_of_index(el.perm[idx])[i])
-        sites.append(perm)
-    h = el.phase_fn
-    h0 = h.values[0]
-    phases = []
-    for i in range(n):
-        vals = []
-        for k in range(d):
-            x = tuple(k if j == i else 0 for j in range(n))
-            vals.append((h.eval(x) - h0) % d)
-        phases.append(tuple(vals))
-    # distribute the constant h0 into the first site's phase function
-    phases[0] = tuple((v + h0) % d for v in phases[0])
-    return LFPElement(el.d, list(zip(sites, phases)), el.phase)
 
 
 class DephasedForm:
@@ -236,37 +220,26 @@ def dephase(f):
         rep = f.add_constant(-c)
         corr = LFPElement(d, [(ident, tuple((-c) % d for _ in range(d)))])
         return DephasedForm(rep, corr)
-    zero = (0,) * n
-    axis = []
-    for i in range(n):
-        axis.append(
-            tuple(
-                f.eval(tuple(k if j == i else 0 for j in range(n)))
-                for k in range(d)
-            )
-        )
     f0 = f.values[0]
-    site_phases = []
-    for i in range(n):
-        vals = [-(axis[i][k] - f0) % d for k in range(d)]
-        site_phases.append(vals)
+    site_phases = [[f0 - v for v in axis] for axis in _axes(f)]
     # absorb the residual constant so the representative vanishes at 0
-    site_phases[0] = [(v - f0) % d for v in site_phases[0]]
-    corr = LFPElement(d, [(ident, tuple(p)) for p in site_phases])
+    site_phases[0] = [v - f0 for v in site_phases[0]]
+    corr = LFPElement(d, [(ident, p) for p in site_phases])
     rep, phase = corr.lift().apply(f)
     assert phase == 0
     return DephasedForm(rep, corr)
 
 
 def is_dephased(f):
-    d, n = f.d, f.n
-    if n == 1:
+    if f.n == 1:
         return f.values[0] == 0
-    for i in range(n):
-        for k in range(f.d):
-            if f.eval(tuple(k if j == i else 0 for j in range(n))):
-                return False
-    return True
+    return not any(map(any, _axes(f)))
+
+
+def _axes(f):
+    """f on the axes through 0: row i holds f(k e_i) for k in Z_d."""
+    d, n = f.d, f.n
+    return [f.values[: d ** (n - i) : d ** (n - 1 - i)] for i in range(n)]
 
 
 def image_matrix_row_col_ops(f, row_perm=None, col_perm=None, row_phases=None, col_phases=None):

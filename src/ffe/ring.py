@@ -11,6 +11,8 @@ import itertools
 import json
 import operator
 
+import numpy as np
+
 MIN_D, MAX_D = 2, 12
 MAX_N = 4
 
@@ -59,7 +61,9 @@ def as_ints(values):
 
 
 def check_permutation(perm, size):
-    if not isinstance(perm, (list, tuple, range)) or not all(map(_is_int, perm)):
+    if not isinstance(perm, (list, tuple, range)) or not (
+        set(map(type, perm)) <= {int} or all(map(_is_int, perm))
+    ):
         raise PermutationError(f"not a sequence of integers: {perm!r}")
     perm = tuple(perm)
     if len(perm) != size or sorted(perm) != list(range(size)):
@@ -166,14 +170,8 @@ class FiniteFunction:
 
     def compose_site_permutation(self, i, perm):
         """f composed with a permutation of the i-th argument (0-based site)."""
-        if not (0 <= i < self.n):
-            raise ArityError(f"site {i} out of range for n={self.n}")
-        perm = check_permutation(perm, self.d)
-        vals = [
-            self.values[self.index(x[:i] + (perm[x[i]],) + x[i + 1:])]
-            for x in self.points()
-        ]
-        return FiniteFunction(self.d, self.n, vals)
+        index_map = site_permutation_as_global(self.d, self.n, i, perm)
+        return FiniteFunction(self.d, self.n, [self.values[k] for k in index_map])
 
     def compose_global_permutation(self, perm):
         """g with g(x) = f(pi(x)), pi given as an index map on Z_d^n."""
@@ -192,13 +190,7 @@ class FiniteFunction:
         return [list(self.values[r * d:(r + 1) * d]) for r in range(d)]
 
     def as_nested(self):
-        def build(depth, offset, stride):
-            if depth == self.n:
-                return self.values[offset]
-            stride //= self.d
-            return [build(depth + 1, offset + k * stride, stride) for k in range(self.d)]
-
-        return build(0, 0, self.d**self.n)
+        return np.reshape(self.values, (self.d,) * self.n).tolist()
 
     def __eq__(self, other):
         return (
@@ -214,16 +206,12 @@ class FiniteFunction:
 
 
 def site_permutation_as_global(d, n, i, perm):
-    """Index map on Z_d^n for pi acting on the i-th argument alone."""
+    """Index map on Z_d^n for pi acting on the i-th argument alone: gather
+    the (d,)*n tensor of flat indices through pi along axis i."""
+    if not (0 <= i < n):
+        raise ArityError(f"site {i} out of range for n={n}")
     perm = check_permutation(perm, d)
-    out = []
-    for x in itertools.product(range(d), repeat=n):
-        y = x[:i] + (perm[x[i]],) + x[i + 1:]
-        idx = 0
-        for c in y:
-            idx = idx * d + c
-        out.append(idx)
-    return tuple(out)
+    return tuple(np.take(np.arange(d**n).reshape((d,) * n), perm, axis=i).ravel().tolist())
 
 
 def compose_index_maps(outer, inner):

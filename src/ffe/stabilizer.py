@@ -7,14 +7,14 @@ exponents, with no field arithmetic.
 """
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 from .fpops import FPElement
 from .ring import (
     ArityError,
     PermutationError,
+    _is_int,
     check_permutation,
-    compose_index_maps,
     invert_permutation,
     site_permutation_as_global,
 )
@@ -38,6 +38,12 @@ def plus_cycle(d):
     return tuple((k + 1) % d for k in range(d))
 
 
+def _witness_cycle(w):
+    """kappa = w^(-1) o kappa_plus o w for a validated witness w."""
+    w_inv = invert_permutation(w)
+    return tuple(w_inv[(k + 1) % len(w)] for k in w)
+
+
 class CycleSpec:
     """Per-site d-cycles, optionally with conjugation witnesses
     kappa_i = pi_i^(-1) o kappa_plus o pi_i."""
@@ -55,10 +61,8 @@ class CycleSpec:
             witnesses = tuple(check_permutation(w, d) for w in witnesses)
             if len(witnesses) != len(cycles):
                 raise ArityError("one witness per site required")
-            plus = plus_cycle(d)
             for c, w in zip(cycles, witnesses):
-                conj = tuple(invert_permutation(w)[plus[w[k]]] for k in range(d))
-                if conj != c:
+                if _witness_cycle(w) != c:
                     raise PermutationError(
                         "witness does not conjugate the +1 cycle to kappa"
                     )
@@ -155,28 +159,18 @@ def unique_fixed_space_dim(stab_set):
 def internally_commutes(f, i, kappa):
     """True iff f o kappa_i - f does not depend on x_i (the commuting
     criterion for the X and Z parts of S_{f,kappa_i})."""
-    d, n = f.d, f.n
     diff = f.compose_site_permutation(i, kappa) - f
-    for x in itertools.product(range(d), repeat=n):
-        base = diff.eval(x)
-        for k in range(d):
-            if diff.eval(x[:i] + (k,) + x[i + 1:]) != base:
-                return False
-    return True
+    t = np.reshape(diff.values, (f.d,) * f.n)
+    return bool((t == np.take(t, [0], axis=i)).all())
 
 
 def internally_commuting_set_exists_for(f, witnesses):
     """Verify the witness tuple: with kappa_i = pi_i^(-1) o kappa_plus o pi_i
     every site must pass the internal-commutativity criterion."""
-    d = f.d
-    plus = plus_cycle(d)
-    for i, w in enumerate(witnesses):
-        w = check_permutation(w, d)
-        w_inv = invert_permutation(w)
-        kappa = tuple(w_inv[plus[w[k]]] for k in range(d))
-        if not internally_commutes(f, i, kappa):
-            return False
-    return True
+    return all(
+        internally_commutes(f, i, _witness_cycle(check_permutation(w, f.d)))
+        for i, w in enumerate(witnesses)
+    )
 
 
 def continuous_symmetry_predicate(f, sigma, sites=(0, 1)):
@@ -186,21 +180,9 @@ def continuous_symmetry_predicate(f, sigma, sites=(0, 1)):
     d, n = f.d, f.n
     if n < 2:
         raise ArityError("predicate needs at least two sites")
-    i, j = sites
+    if len(sites) != 2 or sites[0] == sites[1] or not all(_is_int(k) and 0 <= k < n for k in sites):
+        raise ArityError(f"sites must be two distinct indices in range({n}): {sites!r}")
     sigma = check_permutation(sigma, d)
-    sigma_inv = invert_permutation(sigma)
-    tails = itertools.product(range(d), repeat=n - 2)
-    other = [k for k in range(n) if k not in (i, j)]
-    for tail in tails:
-        for a in range(d):
-            for b in range(d):
-                x = [0] * n
-                for k, t in zip(other, tail):
-                    x[k] = t
-                x[i], x[j] = sigma[a], sigma_inv[b]
-                lhs = f.eval(tuple(x))
-                x[i], x[j] = sigma[b], sigma_inv[a]
-                rhs = f.eval(tuple(x))
-                if lhs != rhs:
-                    return False
-    return True
+    t = np.moveaxis(np.reshape(f.values, (d,) * n), sites, (0, 1))
+    lhs = t[np.ix_(sigma, invert_permutation(sigma))]
+    return bool((lhs == lhs.swapaxes(0, 1)).all())

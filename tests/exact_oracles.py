@@ -14,7 +14,13 @@ check.
 - `singular_values` is the reference for bit-identical floats: cyclic Jacobi
   rotating numpy row and column slices of the 2d x 2d real embedding, which
   is built from this module's Gram matrix through CyclotomicInt.to_complex.
+- The site actions of the FP group run point by point over Z_d^n:
+  `site_permutation_as_global`, `compose_site_permutation`, `lift` (the
+  product of the site index maps and the summed site phases), `lfp_product`
+  (the product of two lifts split back into sites by probing the unit
+  points), `internally_commutes` and `continuous_symmetry_predicate`.
 """
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -235,3 +241,99 @@ def fixed_space_dim(stab_set):
             row[y][0] = row[y].get(0, 0) - 1
             rows.append(row)
     return size - exact_rank(d, rows)
+
+
+def flat_index(x, d):
+    idx = 0
+    for c in x:
+        idx = idx * d + c
+    return idx
+
+
+def site_permutation_as_global(d, n, i, perm):
+    """Index map on Z_d^n of perm on the i-th argument, point by point."""
+    return tuple(
+        flat_index(x[:i] + (perm[x[i]],) + x[i + 1:], d)
+        for x in itertools.product(range(d), repeat=n)
+    )
+
+
+def compose_site_permutation(f, i, perm):
+    """Values of f o perm_i, point by point."""
+    return tuple(f.values[k] for k in site_permutation_as_global(f.d, f.n, i, perm))
+
+
+def lift(d, sites, global_phase):
+    """(global phase, index map, phase values) of a local element given as
+    (perm, phases) per site: the product of the site index maps, applied
+    one after another, and the sum of the site phases at every point."""
+    n = len(sites)
+    perm = tuple(range(d**n))
+    for i, (site_perm, _) in enumerate(sites):
+        site_map = site_permutation_as_global(d, n, i, site_perm)
+        perm = tuple(perm[site_map[k]] for k in range(d**n))
+    values = tuple(
+        sum(sites[i][1][x[i]] for i in range(n)) % d
+        for x in itertools.product(range(d), repeat=n)
+    )
+    return global_phase % d, perm, values
+
+
+def lfp_product(d, a_sites, a_phase, b_sites, b_phase):
+    """(sites, global phase) of the product of two local elements: the
+    product X_pi Z_h X_sigma Z_g = X_(pi o sigma) Z_(h o sigma + g) of the
+    lifts, split back into sites. Each site permutation is read off the
+    images of the unit points k e_i; each site phase is h(k e_i) - h(0), and
+    site 0 also carries the constant h(0)."""
+    n = len(a_sites)
+    phase_a, perm_a, h = lift(d, a_sites, a_phase)
+    phase_b, perm_b, g = lift(d, b_sites, b_phase)
+    perm = [perm_a[perm_b[k]] for k in range(d**n)]
+    values = [(h[perm_b[k]] + g[k]) % d for k in range(d**n)]
+
+    def unit(i, k):
+        return flat_index(tuple(k if j == i else 0 for j in range(n)), d)
+
+    sites = []
+    for i in range(n):
+        site_perm = tuple(perm[unit(i, k)] // d ** (n - 1 - i) % d for k in range(d))
+        site_phases = [(values[unit(i, k)] - values[0]) % d for k in range(d)]
+        sites.append((site_perm, site_phases))
+    sites[0] = (sites[0][0], [(v + values[0]) % d for v in sites[0][1]])
+    return tuple((p, tuple(h)) for p, h in sites), (phase_a + phase_b) % d
+
+
+def internally_commutes(f, i, kappa):
+    """True iff f o kappa_i - f takes one value along every line in x_i."""
+    d, n = f.d, f.n
+    moved = compose_site_permutation(f, i, kappa)
+    diff = [(a - b) % d for a, b in zip(moved, f.values)]
+    for x in itertools.product(range(d), repeat=n):
+        base = diff[flat_index(x, d)]
+        for k in range(d):
+            if diff[flat_index(x[:i] + (k,) + x[i + 1:], d)] != base:
+                return False
+    return True
+
+
+def continuous_symmetry_predicate(f, sigma, sites):
+    """True iff f(sigma(a), sigma^-1(b), tail) = f(sigma(b), sigma^-1(a), tail)
+    on sites (i, j) for all a, b and tails, point by point."""
+    d, n = f.d, f.n
+    i, j = sites
+    sigma_inv = [0] * d
+    for k, s in enumerate(sigma):
+        sigma_inv[s] = k
+    other = [k for k in range(n) if k not in (i, j)]
+    for tail in itertools.product(range(d), repeat=n - 2):
+        for a in range(d):
+            for b in range(d):
+                x = [0] * n
+                for k, t in zip(other, tail):
+                    x[k] = t
+                x[i], x[j] = sigma[a], sigma_inv[b]
+                lhs = f.values[flat_index(x, d)]
+                x[i], x[j] = sigma[b], sigma_inv[a]
+                if f.values[flat_index(x, d)] != lhs:
+                    return False
+    return True

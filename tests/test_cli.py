@@ -361,6 +361,7 @@ class TestUsageErrors:
         [],
         ["query", "--d", "3"],
         ["lower-bound", "--d", "3", "--m", "2"],
+        ["classify", "--d", "3", "--threads", "2"],
     ])
     def test_exit_input_with_usage(self, capsys, argv):
         code, out, err = run(capsys, *argv)

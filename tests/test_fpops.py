@@ -168,6 +168,27 @@ class TestLFP:
         assert el == LFPElement(3, [((1, 2, 0), (1, 0, 2)), ((0, 1, 2), (0, 0, 0))], 2)
         assert FPElement(np.int64(4), range(3), FiniteFunction.zero(3, 1)).phase == 1
 
+    @pytest.mark.parametrize("d,sites", [
+        (3, []),
+        (1, [((0,), (0,))]),
+        (13, [(tuple(range(13)), (0,) * 13)]),
+        (2, [((0, 1), (0, 0))] * 5),
+    ])
+    def test_shape_checked(self, d, sites):
+        with pytest.raises(ArityError):
+            LFPElement(d, sites)
+
+    @pytest.mark.parametrize("text", ['{"sites": []}', '{"global_phase": 1}', '[]', '{"sites": 3}'])
+    def test_from_json_requires_sites(self, text):
+        with pytest.raises(ArityError):
+            LFPElement.from_json(text)
+
+    def test_product_shape_mismatch(self):
+        with pytest.raises(ArityError):
+            random_lfp(3, 2, 0).multiply(random_lfp(3, 1, 0))
+        with pytest.raises(ArityError):
+            random_lfp(3, 2, 0).multiply(random_lfp(4, 2, 0))
+
     def test_seed_stability_and_coverage(self):
         assert random_lfp(3, 2, 42) == random_lfp(3, 2, 42)
         perms = {random_lfp(2, 1, s).sites[0][0] for s in range(50)}

@@ -168,6 +168,27 @@ class TestComposition:
         assert check_permutation((1, 2, 0), 3) == (1, 2, 0)
         assert check_permutation(range(3), 3) == (0, 1, 2)
 
+    @pytest.mark.parametrize("perm,ok", [
+        (range(3), True),
+        ([2, 0, 1], True),
+        ((2, 0, 1), True),
+        ([0, 1, True], False),
+        ((0.0, 1.0, 2.0), False),
+        ([np.int64(1), 2, 0], False),
+        (tuple(np.arange(3)), False),
+        (np.arange(3), False),
+        ([1, 2, 0, 3], False),
+        ([0, 0, 1], False),
+    ])
+    def test_type_pass_keeps_answers(self, perm, ok):
+        # ints pass through the one type-set test; every other element type
+        # is decided element by element, as before
+        if ok:
+            assert check_permutation(perm, 3) == tuple(perm)
+        else:
+            with pytest.raises(PermutationError):
+                check_permutation(perm, 3)
+
     def test_global_identity(self):
         rng = random.Random(3)
         f = random_function(3, 2, rng)
@@ -180,6 +201,13 @@ class TestComposition:
             perm = random_perm(3, rng)
             lifted = site_permutation_as_global(3, 2, 0, perm)
             assert f.compose_global_permutation(lifted) == f.compose_site_permutation(0, perm)
+
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    def test_site_out_of_range(self, i):
+        with pytest.raises(ArityError):
+            site_permutation_as_global(3, 2, i, (1, 2, 0))
+        with pytest.raises(ArityError):
+            FiniteFunction.zero(3, 2).compose_site_permutation(i, (1, 2, 0))
 
     def test_global_composition_exhaustive_d2(self):
         # (f o sigma) o pi = f o (sigma o pi) over all index maps of Z_2^2

@@ -233,3 +233,11 @@ class TestContinuousSymmetry:
         f = FiniteFunction.zero(3, 2).add_constant(1)
         for sigma in itertools.permutations(range(3)):
             assert continuous_symmetry_predicate(f, sigma)
+
+    @pytest.mark.parametrize("sites", [(0, 0), (0, 5), (-1, 0), (0,), (0, 1, 2), (True, 0), (0.0, 1)])
+    def test_sites_validated(self, sites):
+        # (0, 0) used to hold trivially, (0, 5) raised IndexError and
+        # (-1, 0) read the last site
+        f = FiniteFunction.from_callable(3, 2, lambda x: x[0] * x[1] % 3)
+        with pytest.raises(ArityError):
+            continuous_symmetry_predicate(f, plus_cycle(3), sites)
