@@ -172,23 +172,8 @@ def cmd_verify_appendix(args):
     return EXIT_OK if report["ok"] else EXIT_CONFORMANCE
 
 
-class _UsageError(Exception):
-    """An argparse rejection, reported by main as an input error."""
-
-    def __init__(self, parser, message):
-        super().__init__(message)
-        self.parser = parser
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse reports a usage error by exiting 2, which the CLI reserves for
-    # an exceeded budget; raising lets main return EXIT_INPUT instead
-    def error(self, message):
-        raise _UsageError(self, message)
-
-
 def build_parser():
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="ffe",
         description="Finite-function-encoded states: classification and exact invariants",
     )
@@ -246,9 +231,11 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+    except SystemExit as exc:
+        # argparse has printed the usage error and exits 2, which the CLI
+        # reserves for an exceeded budget; --help exits 0 and stays an exit
+        if not exc.code:
+            raise
         return EXIT_INPUT
     try:
         return args.fn(args)

@@ -264,7 +264,9 @@ def function_from_json(obj):
             raise ArityError("flat values require explicit 'n'")
         n = obj["n"]
         flat = values
-    if any(not _is_int(v) or not (0 <= v < d) for v in flat):
+    if not (set(map(type, flat)) <= {int} or all(map(_is_int, flat))) or (
+        flat and not (0 <= min(flat) and max(flat) < d)
+    ):
         raise ArityError("residues must be integers in [0, d)")
     return FiniteFunction(d, n, flat)
 

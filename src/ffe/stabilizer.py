@@ -2,8 +2,8 @@
 
 A complete set uses one d-cycle per site; its simultaneous +1 eigenspace is
 one-dimensional. Each S links two basis states by a power of omega, so the
-dimension is counted exactly by a union-find over the basis states with Z_d
-exponents, with no field arithmetic.
+dimension is counted exactly by one walk over each orbit of the basis states
+with Z_d exponents, with no field arithmetic.
 """
 from __future__ import annotations
 
@@ -92,7 +92,6 @@ class StabilizerSet:
 
 def make_stabilizer(f, perm):
     """S_{f,pi} = X_pi Z_{f o pi - f}; stabilizes |f> with zero phase."""
-    perm = check_permutation(perm, len(f.values))
     return FPElement(0, perm, f.compose_global_permutation(perm) - f)
 
 
@@ -111,49 +110,42 @@ def unique_fixed_space_dim(stab_set):
     """Exact dimension of the simultaneous +1 eigenspace of the stabilizers.
 
     S = X_pi Z_h maps |x> to omega^{h(x)} |pi(x)>, so S psi = psi says
-    psi_{pi(x)} = omega^{h(x)} psi_x for every x. A union-find over the d^n
-    basis states keeps, for each state, the exponent p with psi_x =
-    omega^p psi_root. A component whose constraints close a cycle with a
-    nonzero exponent sum mod d forces psi = 0 on it; every other component
-    leaves one free amplitude, so the dimension is the number of consistent
-    components.
+    psi_{pi(x)} = omega^{h(x)} psi_x for every x. A permutation's inverse is
+    one of its positive powers, so a forward walk from the least unvisited
+    point reaches its whole orbit and meets each constraint once: it either
+    sets the exponent p with psi_y = omega^p psi_root or checks it. A failed
+    check forces psi = 0 on the orbit; every other orbit leaves one free
+    amplitude, so the dimension counts the orbits without a failed check.
     """
     base = stab_set.base
     d = base.d
     size = d**base.n
-    parent = list(range(size))
-    potential = [0] * size
-    consistent = [True] * size
-
-    def find(x):
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        # re-point the path at the root; a root's own exponent stays 0
-        acc = 0
-        for y in reversed(path):
-            acc = (acc + potential[y]) % d
-            potential[y] = acc
-            parent[y] = x
-        return x
-
+    edges = []
     for el in stab_set.elements:
+        if (el.d, el.n) != (d, base.n):
+            raise ArityError(
+                f"stabilizer element shape ({el.d},{el.n}) != base ({d},{base.n})"
+            )
         if el.phase:
             raise ArityError("stabilizer elements must carry zero global phase")
-        h = el.phase_fn.values
-        for x, y in enumerate(el.perm):
-            rx, ry = find(x), find(y)
-            # the exponent of psi_ry over psi_rx that psi_y = omega^{h(x)} psi_x asks for
-            offset = (potential[x] + h[x] - potential[y]) % d
-            if rx == ry:
-                if offset:
-                    consistent[rx] = False
-            else:
-                parent[ry] = rx
-                potential[ry] = offset
-                consistent[rx] = consistent[rx] and consistent[ry]
-    return sum(1 for x in range(size) if parent[x] == x and consistent[x])
+        edges.append((el.perm, el.phase_fn.values))
+    power = [None] * size
+    dim = 0
+    for root in range(size):
+        if power[root] is not None:
+            continue
+        power[root], stack, clash = 0, [root], False
+        while stack:
+            x = stack.pop()
+            for perm, h in edges:
+                y, p = perm[x], (power[x] + h[x]) % d
+                if power[y] is None:
+                    power[y] = p
+                    stack.append(y)
+                elif power[y] != p:
+                    clash = True
+        dim += not clash
+    return dim
 
 
 def internally_commutes(f, i, kappa):

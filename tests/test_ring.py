@@ -265,6 +265,16 @@ class TestSerialization:
         with pytest.raises(ArityError):
             parse_function('{"d":2,"n":1,"values":[0,3]}')
 
+    @pytest.mark.parametrize("bad", ["true", "1.0", '"1"', "-1", "3", "[1]"])
+    def test_non_residue_in_flat_values(self, bad):
+        with pytest.raises(ArityError):
+            parse_function(f'{{"d":3,"n":1,"values":[0,{bad},2]}}')
+
+    def test_flat_and_nested_ints_parse(self):
+        flat = parse_function('{"d":3,"n":2,"values":[0,0,0,0,1,2,0,2,1]}')
+        assert flat == parse_function('{"d":3,"values":[[0,0,0],[0,1,2],[0,2,1]]}')
+        assert flat.values == (0, 0, 0, 0, 1, 2, 0, 2, 1)
+
     def test_malformed_json(self):
         with pytest.raises(ArityError):
             parse_function("{not json")

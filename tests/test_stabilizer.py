@@ -104,6 +104,11 @@ class TestMakeStabilizer:
             out, phase = s.apply(f)
             assert out == f and phase == 0
 
+    @pytest.mark.parametrize("perm", [(0, 0, 1, 2, 3, 4, 5, 6, 7), tuple(range(8)), tuple(range(10))])
+    def test_rejects_a_map_that_is_not_a_permutation(self, perm):
+        with pytest.raises(PermutationError):
+            make_stabilizer(FiniteFunction.zero(3, 2), perm)
+
     def test_stabilizes_exhaustive_global_perms_d2(self):
         rng = random.Random(2)
         f = random_function(2, 2, rng)
@@ -168,6 +173,31 @@ class TestFixedSpace:
         sset = StabilizerSet(f, None, [FPElement(1, el.perm, el.phase_fn)])
         with pytest.raises(ArityError):
             unique_fixed_space_dim(sset)
+
+    @pytest.mark.parametrize("base_shape, el_shape", [((3, 2), (2, 2)), ((2, 2), (3, 2))])
+    def test_elements_of_another_shape_rejected(self, base_shape, el_shape):
+        g = FiniteFunction.zero(*el_shape)
+        elements = complete_set(g, CycleSpec.plus_cycles(*el_shape)).elements
+        sset = StabilizerSet(FiniteFunction.zero(*base_shape), None, elements)
+        with pytest.raises(ArityError):
+            unique_fixed_space_dim(sset)
+
+    def test_one_inconsistent_row_by_hand(self):
+        # pi cycles the second argument, so its orbits are the three rows;
+        # the exponents along row 0 sum to 1 != 0 mod 3, so only rows 1, 2
+        # leave a free amplitude
+        f = FiniteFunction.zero(3, 2)
+        perm = site_permutation_as_global(3, 2, 1, plus_cycle(3))
+        h = FiniteFunction(3, 2, [1] + [0] * 8)
+        sset = StabilizerSet(f, None, [FPElement(0, perm, h)])
+        assert unique_fixed_space_dim(sset) == 2
+        assert oracle.fixed_space_dim(sset) == numeric_fixed_space_dim(sset) == 2
+
+    def test_largest_shape(self):
+        f = random_function(12, 4, random.Random(12))
+        sset = complete_set(f, CycleSpec.plus_cycles(12, 4))
+        assert unique_fixed_space_dim(sset) == 1
+        assert unique_fixed_space_dim(StabilizerSet(f, sset.cycles, sset.elements[1:])) == 12
 
 
 class TestInternalCommutativity:
