@@ -28,7 +28,7 @@ import numpy as np
 
 from .fpops import dephase
 from .linalg import singular_values_stack, trace_power_coeffs
-from .polynomials import block_texts, enumerate_polynomial_blocks
+from .polynomials import _term_text, _text_order, normal_form_basis
 from .ring import ArityError, FiniteFunction, check_shape
 
 ALL_SCOPE_BUDGET = 10**7
@@ -41,12 +41,6 @@ class BudgetError(ValueError):
 def _as_array(f):
     d = f.d
     return np.array(f.values, dtype=np.int16).reshape(d, d)
-
-
-def _dephase_arrays(mats, d):
-    """Vectorized dephasing of a stack of image matrices."""
-    out = mats - mats[:, :, 0:1] - mats[:, 0:1, :] + mats[:, 0:1, 0:1]
-    return out % d
 
 
 # Images per block of _orbit_blocks.  A block is one int64 gather index and
@@ -246,7 +240,7 @@ def lfp_orbit(f):
 
 
 def key_to_function(d, key):
-    return FiniteFunction(d, 2, list(key))
+    return FiniteFunction._of_residues(d, 2, key)
 
 
 class OrbitRecord:
@@ -386,22 +380,13 @@ def invariant_It(f):
     return sum(f.values) % f.d
 
 
-def _signature_of_sums(sums, d):
-    counts = {}
-    for s in sums:
-        counts[s % d] = counts.get(s % d, 0) + 1
-    return tuple(sorted(counts.values()))
-
-
 def invariant_row_signature(f, axis=0):
     """Sorted multiset of group sizes of equal axis sums of the image tensor."""
     if not 0 <= axis < f.n:
         raise ArityError(f"axis {axis} out of range for n={f.n}")
-    d = f.d
-    sums = [0] * d
-    for x in f.points():
-        sums[x[axis]] += f.eval(x)
-    return _signature_of_sums(sums, d)
+    t = np.reshape(f.values, (f.d,) * f.n)
+    sums = t.sum(axis=tuple(j for j in range(f.n) if j != axis)) % f.d
+    return tuple(sorted(np.unique(sums, return_counts=True)[1].tolist()))
 
 
 def haagerup_histogram(f):
@@ -435,19 +420,25 @@ def lower_bound(d, n):
 def dephased_polynomial_index(d):
     """Map byte key of each dephased polynomial image -> sorted normal forms.
 
-    The listed forms are constant-free.  A constant term shifts the image by
-    a constant, which dephasing removes, so only the constant-free normal
-    forms are enumerated: each is distinct, keyed by its dephased image and
-    rendered as text once.
+    The listed forms are constant-free: a mixed part, whose monomials hold x
+    and y, plus univariate parts.  Dephasing removes exactly the univariate
+    parts, so the keys are the distinct images of the mixed-only forms, and
+    each key lists its mixed form with every univariate coefficient choice.
     """
+    monomials, choices, images = normal_form_basis(d, 2)
+    order = sorted(range(1, len(monomials)), key=lambda k: _text_order(monomials[k]))
+    mixed = [k for k in order if all(monomials[k])]
+    terms = [[_term_text(("x", "y"), e, c) if c else "" for c in range(d)] for e in monomials]
+    rows = list(itertools.product(*[choices[k] for k in mixed]))
+    keys = (np.array(rows, dtype=np.int64) @ images[mixed] % d).astype(np.uint8)
     index = {}
-    blocks = enumerate_polynomial_blocks(d, 2, constant_free=True)
-    for monomials, coeffs, images in blocks:
-        keys = _dephase_arrays(images.reshape(-1, d, d), d).astype(np.uint8)
-        for key, text in zip(keys, block_texts(d, 2, monomials, coeffs)):
-            index.setdefault(key.tobytes(), []).append(text)
-    for texts in index.values():
-        texts.sort()
+    for key, row in zip(keys, rows):
+        fixed = dict(zip(mixed, row))
+        texts = [""]
+        for k in order:
+            options = [terms[k][c] for c in ([fixed[k]] if k in fixed else choices[k])]
+            texts = [f"{p} + {t}" if p and t else p or t for p in texts for t in options]
+        index[key.tobytes()] = sorted(t or "0" for t in texts)
     return index
 
 

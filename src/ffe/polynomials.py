@@ -100,19 +100,6 @@ def _term_text(names, exps, coeff):
     return "*".join([str(coeff)] + factors)
 
 
-def block_texts(d, n, monomials, coeffs):
-    """Polynomial(d, n, dict(zip(monomials, row))).to_text() for every row of
-    a coefficient block (distinct monomials, coefficients in [0, d)), from a
-    table of term texts instead of one Polynomial per row."""
-    names = _variable_names(n)
-    order = sorted(range(len(monomials)), key=lambda k: _text_order(monomials[k]))
-    table = [[_term_text(names, monomials[k], c) for c in range(d)] for k in order]
-    return [
-        " + ".join([terms[c] for terms, c in zip(table, row) if c]) or "0"
-        for row in coeffs[:, order].tolist()
-    ]
-
-
 class Polynomial:
     """Polynomial over Z_d in n variables: a map monomial -> nonzero residue."""
 
@@ -131,6 +118,15 @@ class Polynomial:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", tuple(sorted(clean.items())))
+
+    @classmethod
+    def _of_row(cls, d, n, monomials, coeffs):
+        """Unchecked constructor from a block row: lex-sorted monomials, residues."""
+        poly = object.__new__(cls)
+        terms = tuple((e, c) for e, c in zip(monomials, coeffs) if c)
+        for name, value in (("d", d), ("n", n), ("_terms", terms)):
+            object.__setattr__(poly, name, value)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -240,23 +236,19 @@ def _crt_basis(factors):
     return basis
 
 
-def enumerate_polynomial_blocks(d, n, chunk=8192, constant_free=False):
-    """Yield (monomials, coeffs, images) blocks covering every normal form once.
+def normal_form_basis(d, n):
+    """(monomials, choices, images): the normal forms over Z_d are the product
+    of the coefficient choices, within ENUMERATION_BUDGET.
 
     `monomials` lists the merged admissible exponent vectors, lex order, the
-    constant monomial first.  A block holds up to `chunk` normal forms as int64
-    arrays: `coeffs` (rows x monomials) and their images `coeffs @ M % d`
-    (rows x d^n), where row k of M is the image of monomial k.  Coefficients
-    of shared monomials are CRT-merged residues in Z_d; a monomial absent
-    from a prime-power component contributes 0 there.  Rows run in
-    itertools.product order over the coefficient choices, so the constant
-    varies slowest.  constant_free=True keeps only the rows whose constant
-    coefficient is 0.
+    constant monomial first.  choices[k] lists monomial k's CRT-merged
+    coefficients in Z_d; a monomial absent from a prime-power component
+    contributes 0 there.  images[k] is the image of monomial k (int64).
     """
     factors = prime_power_factors(d)
     basis = _crt_basis(factors)
     component = [dict(admissible_monomials(p, m, n)) for p, m in factors]
-    merged = sorted(set().union(*[set(c) for c in component]))
+    merged = sorted(set().union(*component))
     choice_lists = []
     total = 1
     for exps in merged:
@@ -270,11 +262,22 @@ def enumerate_polynomial_blocks(d, n, chunk=8192, constant_free=False):
             raise EnumerationTooLarge(
                 f"{d=}, {n=}: more than {ENUMERATION_BUDGET} polynomial functions"
             )
-    if constant_free:
-        choice_lists[0] = [0]  # merged[0] is the constant monomial (0, ..., 0)
     images = np.array(
         [Polynomial(d, n, {e: 1}).to_function().values for e in merged], dtype=np.int64
     )
+    return merged, choice_lists, images
+
+
+def enumerate_polynomial_blocks(d, n, chunk=8192):
+    """Yield (monomials, coeffs, images) blocks covering every normal form once.
+
+    `monomials` are those of normal_form_basis.  A block holds up to `chunk`
+    normal forms as int64 arrays: `coeffs` (rows x monomials) and their
+    images `coeffs @ M % d` (rows x d^n), where row k of M is the image of
+    monomial k.  Rows run in itertools.product order over the coefficient
+    choices, so the constant varies slowest.
+    """
+    merged, choice_lists, images = normal_form_basis(d, n)
     radices = np.array([len(c) for c in choice_lists], dtype=np.int64)
     # mixed-radix place values, the last monomial fastest
     strides = np.cumprod(np.append(1, radices[:0:-1]))[::-1]
@@ -293,8 +296,8 @@ def enumerate_polynomial_functions(d, n, chunk=8192):
     """Yield every (normal-form polynomial, image function) exactly once."""
     for monomials, coeffs, images in enumerate_polynomial_blocks(d, n, chunk):
         for row_coeffs, row_vals in zip(coeffs.tolist(), images.tolist()):
-            poly = Polynomial(d, n, dict(zip(monomials, row_coeffs)))
-            yield poly, FiniteFunction(d, n, row_vals)
+            poly = Polynomial._of_row(d, n, monomials, row_coeffs)
+            yield poly, FiniteFunction._of_residues(d, n, row_vals)
 
 
 def count_polynomial_functions(d, n):

@@ -114,6 +114,14 @@ class FiniteFunction:
         raise AttributeError("FiniteFunction is immutable")
 
     @classmethod
+    def _of_residues(cls, d, n, values):
+        """Unchecked constructor for d^n values that are residues in [0, d)."""
+        f = object.__new__(cls)
+        for name, value in (("d", d), ("n", n), ("values", tuple(values))):
+            object.__setattr__(f, name, value)
+        return f
+
+    @classmethod
     def zero(cls, d, n):
         return cls(d, n, (0,) * d**n)
 
@@ -171,12 +179,12 @@ class FiniteFunction:
     def compose_site_permutation(self, i, perm):
         """f composed with a permutation of the i-th argument (0-based site)."""
         index_map = site_permutation_as_global(self.d, self.n, i, perm)
-        return FiniteFunction(self.d, self.n, [self.values[k] for k in index_map])
+        return self._of_residues(self.d, self.n, map(self.values.__getitem__, index_map))
 
     def compose_global_permutation(self, perm):
         """g with g(x) = f(pi(x)), pi given as an index map on Z_d^n."""
         perm = check_permutation(perm, self.d**self.n)
-        return FiniteFunction(self.d, self.n, [self.values[p] for p in perm])
+        return self._of_residues(self.d, self.n, map(self.values.__getitem__, perm))
 
     def difference(self, i):
         """Forward difference at site i: f(.., x_i+1, ..) - f(.., x_i, ..)."""

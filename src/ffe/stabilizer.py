@@ -151,8 +151,8 @@ def unique_fixed_space_dim(stab_set):
 def internally_commutes(f, i, kappa):
     """True iff f o kappa_i - f does not depend on x_i (the commuting
     criterion for the X and Z parts of S_{f,kappa_i})."""
-    diff = f.compose_site_permutation(i, kappa) - f
-    t = np.reshape(diff.values, (f.d,) * f.n)
+    moved = f.compose_site_permutation(i, kappa).values
+    t = np.subtract(moved, f.values).reshape((f.d,) * f.n) % f.d
     return bool((t == np.take(t, [0], axis=i)).all())
 
 

@@ -26,6 +26,7 @@ FIXTURE_FILES = {3: "d3_classes.json", 4: "d4_teh_classes.json", 6: "d6_teh_clas
 # operations (verified by exhaustive closure over all permutation pairs), so
 # its 28 listed classes collapse to 18 genuine ones
 EXPECTED_TEH_CLASS_COUNTS = {4: 17, 6: 18}
+EXPECTED_TEH_LU_COUNTS = {4: 7, 6: 12}
 
 KNOWN_DISCREPANCIES = {
     4: "summary text says 15 polynomial-scope classes; the per-class listing "
@@ -93,7 +94,7 @@ def verify_d3(fixture=None):
     return report
 
 
-def verify_teh(d, fixture=None, expected_lu=None):
+def verify_teh(d, fixture=None):
     """Membership + singular-value check of a polynomial-scope classification."""
     fixture = fixture or load_fixture(d)
     cat = classify_lu(classify_lfp(d, "teh"))
@@ -147,19 +148,14 @@ def verify_teh(d, fixture=None, expected_lu=None):
     report["merged_listing_pairs"] = sum(
         len(group) - 1 for group in listings_by_id.values()
     )
-    if expected_lu is not None:
-        check("lu_count", len(cat.lu_classes) == expected_lu)
+    check("lu_count", len(cat.lu_classes) == EXPECTED_TEH_LU_COUNTS[d])
     return report
 
 
 def verify_appendix(d, path=None):
-    if d not in (3, 4, 6):
+    if d not in FIXTURE_FILES:
         raise ValueError(f"no reference tables for d={d}")
     fixture = load_fixture(d, path)
     if d == 3:
         return verify_d3(fixture)
-    if d == 4:
-        return verify_teh(4, fixture, expected_lu=7)
-    if d == 6:
-        return verify_teh(6, fixture, expected_lu=12)
-    raise ValueError(f"no reference tables for d={d}")
+    return verify_teh(d, fixture)

@@ -19,6 +19,12 @@ check.
   product of the site index maps and the summed site phases), `lfp_product`
   (the product of two lifts split back into sites by probing the unit
   points), `internally_commutes` and `continuous_symmetry_predicate`.
+- `row_signature` sums the image tensor along one axis point by point and
+  counts equal sums with a dict.
+- `index_by_block_dephasing` is the dephased polynomial index built the way
+  the library once built it: every constant-free normal form enumerated in
+  coefficient blocks, each image dephased and each row rendered by
+  `block_texts`, a table of term texts, then grouped by key.
 """
 import itertools
 import math
@@ -28,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from ffe.cyclo import CyclotomicInt, CyclotomicRat
+from ffe.polynomials import _term_text, _text_order, enumerate_polynomial_blocks
 
 
 def gram(f):
@@ -337,3 +344,40 @@ def continuous_symmetry_predicate(f, sigma, sites):
                 if f.values[flat_index(x, d)] != lhs:
                     return False
     return True
+
+
+def block_texts(d, monomials, coeffs):
+    """Polynomial(d, 2, dict(zip(monomials, row))).to_text() for every row of
+    a coefficient block, from a table of term texts."""
+    order = sorted(range(len(monomials)), key=lambda k: _text_order(monomials[k]))
+    table = [[_term_text(("x", "y"), monomials[k], c) for c in range(d)] for k in order]
+    return [
+        " + ".join([terms[c] for terms, c in zip(table, row) if c]) or "0"
+        for row in coeffs[:, order].tolist()
+    ]
+
+
+def index_by_block_dephasing(d):
+    """Dephased image key -> sorted texts of the constant-free normal forms:
+    the rows of every normal-form block whose constant coefficient (column 0,
+    the constant monomial) is 0, dephased by subtracting row 0 and column 0."""
+    index = {}
+    for monomials, coeffs, images in enumerate_polynomial_blocks(d, 2):
+        free = coeffs[:, 0] == 0
+        mats = images[free].reshape(-1, d, d)
+        keys = (mats - mats[:, :, :1] - mats[:, :1, :] + mats[:, :1, :1]) % d
+        texts = block_texts(d, monomials, coeffs[free])
+        for key, text in zip(keys.astype(np.uint8), texts):
+            index.setdefault(key.tobytes(), []).append(text)
+    return {key: sorted(texts) for key, texts in index.items()}
+
+
+def row_signature(f, axis):
+    """Sorted sizes of the groups of equal axis sums mod d, point by point."""
+    sums = [0] * f.d
+    for x in itertools.product(range(f.d), repeat=f.n):
+        sums[x[axis]] += f.values[flat_index(x, f.d)]
+    counts = {}
+    for total in sums:
+        counts[total % f.d] = counts.get(total % f.d, 0) + 1
+    return tuple(sorted(counts.values()))

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -27,12 +28,15 @@ from ffe.classify import (
 from ffe.fpops import dephase, image_matrix_row_col_ops, is_dephased, random_lfp
 from ffe.linalg import is_butson_hadamard, singular_values
 from ffe.polynomials import (
+    EnumerationTooLarge,
     count_polynomial_functions,
     enumerate_polynomial_functions,
     is_polynomial,
     parse_polynomial,
 )
 from ffe.ring import ArityError, FiniteFunction
+
+import exact_oracles
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +113,6 @@ class TestOrbits:
             raise AssertionError("the orbit scan started")
 
         monkeypatch.setattr(classify, "_permutations", no_scan)
-        monkeypatch.setattr(classify, "_dephase_arrays", no_scan)
         f = special_function("fourier", 7)
         # membership compares canonical forms, which enumerate no orbit
         assert membership_check(f, f)
@@ -225,6 +228,18 @@ class TestPolynomialIndex:
     def test_matches_oracle(self, d):
         assert dephased_polynomial_index(d) == index_by_dephasing(d)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_matches_block_dephasing_oracle(self, d):
+        assert dephased_polynomial_index(d) == exact_oracles.index_by_block_dephasing(d)
+
+    @pytest.mark.parametrize("d", [5, 8, 12])
+    def test_budget(self, d):
+        # the enumeration budget stops the index before it builds anything
+        start = time.perf_counter()
+        with pytest.raises(EnumerationTooLarge):
+            dephased_polynomial_index(d)
+        assert time.perf_counter() - start < 1.0
+
     def test_d4_structure(self):
         index = dephased_polynomial_index(4)
         assert len(index) == 64
@@ -325,6 +340,20 @@ class TestInvariants:
         h = FiniteFunction.from_matrix(3, [[0, 0, 0], [0, 0, 1], [0, 0, 2]])
         assert invariant_row_signature(h, 0) == (1, 1, 1)
         assert invariant_row_signature(h, 1) == (3,)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_row_signature_matches_point_oracle(self, d):
+        rng = random.Random(d)
+        for n in (1, 2, 3):
+            for values in (
+                [rng.randrange(d) for _ in range(d**n)],
+                [rng.randrange(2) * (d // 2) for _ in range(d**n)],
+            ):
+                f = FiniteFunction(d, n, values)
+                for axis in range(n):
+                    got = invariant_row_signature(f, axis)
+                    assert got == exact_oracles.row_signature(f, axis)
+                    assert all(type(size) is int for size in got)
 
     def test_haagerup_zero_function(self):
         assert haagerup_histogram(FiniteFunction.zero(3, 2)) == (81, 0, 0)

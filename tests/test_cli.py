@@ -42,6 +42,13 @@ class TestClassify:
         assert code == EXIT_BUDGET
         assert "budget" in err
 
+    @pytest.mark.parametrize("d", [5, 8, 12])
+    def test_polynomial_scope_budget_exit(self, capsys, d):
+        # scope=teh passes the all-states budget and stops at the index's
+        # polynomial enumeration budget
+        code, out, err = run(capsys, "classify", "--d", str(d), "--scope", "teh")
+        assert code == EXIT_BUDGET and out == "" and "budget" in err
+
     @pytest.mark.parametrize("scope", ["all", "teh"])
     @pytest.mark.parametrize("d", [1, 0, -2, 13])
     def test_out_of_range_d_rejected(self, capsys, d, scope):

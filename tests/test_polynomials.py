@@ -12,7 +12,6 @@ from ffe.polynomials import (
     Polynomial,
     PolynomialParseError,
     admissible_monomials,
-    block_texts,
     composite_degree,
     count_polynomial_functions,
     enumerate_polynomial_blocks,
@@ -24,6 +23,8 @@ from ffe.polynomials import (
     teh_to_poly,
 )
 from ffe.ring import ArityError, FiniteFunction, prime_power_factors
+
+import exact_oracles
 
 
 class TestCompositeDegree:
@@ -76,6 +77,15 @@ class TestEnumeration:
         assert len(seen) == count
         assert count_polynomial_functions(d, n) == count
 
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 1), (4, 1), (6, 1), (12, 1), (2, 3)])
+    def test_pairs_equal_validated_construction(self, d, n):
+        # the enumeration builds both without the public constructors' checks
+        for poly, func in enumerate_polynomial_functions(d, n):
+            rebuilt = Polynomial(d, n, poly.terms)
+            assert poly == rebuilt and hash(poly) == hash(rebuilt)
+            assert poly.to_text() == rebuilt.to_text()
+            assert func == FiniteFunction(d, n, func.values)
+
     def test_d2_n1_functions(self):
         images = {f.values for _, f in enumerate_polynomial_functions(2, 1)}
         assert images == {(0, 0), (1, 1), (0, 1), (1, 0)}
@@ -86,26 +96,31 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("d", [3, 4, 6])
     def test_constant_free_blocks_are_the_zero_constant_rows(self, d):
-        def stacked(**kw):
-            blocks = list(enumerate_polynomial_blocks(d, 2, chunk=5000, **kw))
-            assert all(len(coeffs) <= 5000 for _, coeffs, _ in blocks)
-            return [np.concatenate([b[i] for b in blocks]) for i in (1, 2)]
-
-        coeffs, images = stacked()
-        free_coeffs, free_images = stacked(constant_free=True)
-        assert len(coeffs) == count_polynomial_functions(d, 2) == d * len(free_coeffs)
-        zero = coeffs[:, 0] == 0
-        assert np.array_equal(free_coeffs, coeffs[zero])
-        assert np.array_equal(free_images, images[zero])
+        # the constant varies slowest, so the rows split into d equal runs,
+        # one per constant c: the zero-constant run with its constant set to
+        # c and its images shifted by c.  The dephased index lists only the
+        # constant-free forms for this reason.
+        blocks = list(enumerate_polynomial_blocks(d, 2, chunk=5000))
+        assert all(len(coeffs) <= 5000 for _, coeffs, _ in blocks)
+        coeffs, images = (np.concatenate([b[i] for b in blocks]) for i in (1, 2))
+        assert len(coeffs) == count_polynomial_functions(d, 2)
+        coeffs, images = coeffs.reshape(d, -1, coeffs.shape[1]), images.reshape(d, -1, d * d)
+        constants = coeffs[:, 0, 0]
+        assert constants[0] == 0 and sorted(constants.tolist()) == list(range(d))
+        for run, c in zip(range(d), constants):
+            assert (coeffs[run, :, 0] == c).all()
+            assert np.array_equal(coeffs[run, :, 1:], coeffs[0, :, 1:])
+            assert np.array_equal(images[run], (images[0] + c) % d)
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_block_texts_match_to_text(self, d):
+        # the rendering of the block-dephasing oracle for the polynomial index
         monomials, coeffs, _ = next(enumerate_polynomial_blocks(d, 2, chunk=3000))
         expected = [
             Polynomial(d, 2, dict(zip(monomials, row))).to_text()
             for row in coeffs.tolist()
         ]
-        assert block_texts(d, 2, monomials, coeffs) == expected
+        assert exact_oracles.block_texts(d, monomials, coeffs) == expected
         assert expected[0] == "0"
 
     def test_d6_count(self):
