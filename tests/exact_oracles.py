@@ -24,7 +24,10 @@ check.
 - `index_by_block_dephasing` is the dephased polynomial index built the way
   the library once built it: every constant-free normal form enumerated in
   coefficient blocks, each image dephased and each row rendered by
-  `block_texts`, a table of term texts, then grouped by key.
+  `block_texts`, a table of term texts, then grouped by key.  It shares the
+  coefficient choices (`normal_form_basis`) and the term texts with the
+  index; tests/test_classify.py's `index_by_dephasing` checks those at
+  d = 2 and 3 through one Polynomial and a scalar dephase per form.
 """
 import itertools
 import math
