@@ -23,7 +23,6 @@ from .classify import (
     Catalogue,
     classify_lfp,
     classify_lu,
-    lfp_orbit,
     lower_bound,
     membership_check,
     special_function,

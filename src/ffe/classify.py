@@ -8,9 +8,9 @@ Two routines work on these orbits:
   partition-refinement search, without enumerating the orbit.  Membership,
   the polynomial-scope catalogue and the reference-table lookups use it, at
   every d up to ring.MAX_D;
-- the orbit closure (_orbit) gathers all (d!)^2 images, in blocks of a fixed
-  number of images.  The all-states catalogue closes its orbits with it, and
-  the tests use it as the canonical form's oracle.
+- the orbit closure gathers all (d!)^2 images at _image_offsets: for a batch
+  of seeds at a time in the all-states catalogue (_close_orbits), and for
+  one seed in blocks (_orbit), the canonical form's oracle in the tests.
 Local-unitary (LU) classes group LFP classes by the exact trace-power
 signature of the Gram matrix of a representative.
 """
@@ -26,7 +26,6 @@ import time
 
 import numpy as np
 
-from .fpops import dephase
 from .linalg import singular_values_stack, trace_power_coeffs
 from .polynomials import _term_text, _text_order, normal_form_basis
 from .ring import ArityError, FiniteFunction, check_shape
@@ -48,9 +47,10 @@ def _as_array(f):
 # keeps the keys of all (d!)^2 images (18.7 MB at d = 6), sorts them in place
 # (np.unique would copy them once more) and copies out the distinct ones.
 ORBIT_CHUNK = 1 << 12
+# Codes per batch of _close_orbits, found among the next ORBIT_CHUNK codes.
+ORBIT_BATCH = 32
 # The most images, (d!)^2, that one orbit closure may enumerate: d <= 6
 # (518,400) runs, and d = 7 (25,401,600) raises BudgetError before any work.
-# Only the closure paths (scope="all", lfp_orbit_keys, lfp_orbit) need it.
 ORBIT_BUDGET = math.factorial(6) ** 2
 # The most states (placements of a row) one step of the canonical-form search
 # may hold.  Merging equal states kept it at 240 or fewer on every matrix
@@ -84,11 +84,21 @@ def _pivot_tables(mats):
     return tables % d
 
 
+def _image_offsets(d, pairs):
+    """(len(pairs), d, d) offsets in a raveled pivot table of the images
+    dephase(M[σ][:, τ]) of the pairs numbered σ-major over S_d × S_d."""
+    perms = _permutations(d)
+    sigma, tau = perms[pairs // len(perms)], perms[pairs % len(perms)]
+    rows = sigma[:, :1] * d**3 + sigma * d  # offset of (σ0, ·, σ_i, ·)
+    cols = tau[:, :1] * d**2 + tau  # offset of (·, τ0, ·, τ_j)
+    return rows[:, :, None] + cols[:, None, :]
+
+
 def _orbit_blocks(seed):
     """Yield dephase(seed[σ][:, τ]) for all (σ, τ) ∈ S_d × S_d, σ-major, as
     uint8 (n, d, d) blocks of at most ORBIT_CHUNK images.
 
-    For a dephased seed these images are its whole LFP orbit, with repeats.
+    These images are the whole LFP orbit of the seed, with repeats.
     """
     d = seed.shape[0]
     total = math.factorial(d) ** 2
@@ -96,12 +106,8 @@ def _orbit_blocks(seed):
         raise BudgetError(f"an orbit at d={d} needs {total} images > {ORBIT_BUDGET}")
     # each block is a single gather from the pivot tables
     table = _pivot_tables(seed[None])[0].astype(np.uint8).ravel()
-    perms = _permutations(d)
-    rows = perms[:, :1] * d**3 + perms * d  # table offset of (σ0, ·, σ_i, ·)
-    cols = perms[:, :1] * d**2 + perms  # table offset of (·, τ0, ·, τ_j)
     for start in range(0, total, ORBIT_CHUNK):
-        sigma, tau = np.divmod(np.arange(start, min(start + ORBIT_CHUNK, total)), len(perms))
-        yield np.take(table, rows[sigma][:, :, None] + cols[tau][:, None, :])
+        yield np.take(table, _image_offsets(d, np.arange(start, min(start + ORBIT_CHUNK, total))))
 
 
 def _void_keys(blocks):
@@ -110,9 +116,9 @@ def _void_keys(blocks):
     return blocks.reshape(n, d * d).view(np.dtype((np.void, d * d))).ravel()
 
 
-def _orbit(seed, encode=_void_keys):
-    """Sorted distinct keys, under encode, of the orbit of a dephased seed."""
-    keys = np.concatenate([encode(b) for b in _orbit_blocks(seed)])
+def _orbit(seed):
+    """Sorted distinct byte keys of the LFP orbit of seed."""
+    keys = np.concatenate([_void_keys(b) for b in _orbit_blocks(seed)])
     keys.sort()
     return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
@@ -230,13 +236,7 @@ def lfp_orbit_keys(f):
     """The orbit of dephase(f) as a set of byte keys of dephased matrices."""
     if f.n != 2:
         raise ArityError("orbit enumeration defined for n=2")
-    seed = _as_array(dephase(f).representative).astype(np.uint8)
-    return set(_orbit(seed).tolist())
-
-
-def lfp_orbit(f):
-    """The orbit of dephased image matrices of f, as FiniteFunctions."""
-    return {key_to_function(f.d, key) for key in lfp_orbit_keys(f)}
+    return set(_orbit(_as_array(f)).tolist())
 
 
 def key_to_function(d, key):
@@ -442,37 +442,42 @@ def dephased_polynomial_index(d):
     return index
 
 
-def _positions(sorted_keys, keys):
-    """Positions in sorted_keys of those of keys that it holds."""
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return pos[sorted_keys[pos] == keys]
+def _close_orbits(d, index_mats):
+    """(lexmin key, size) of the LFP orbit of every dephased d x d matrix, in
+    order of the lexmins, and the position in that list of the orbit of each
+    dephased matrix of the stack index_mats.
 
-
-def _close_orbits(d, index_mats, index_texts):
-    """Close the LFP orbit of every dephased d x d matrix, each orbit once.
-
-    A dephased matrix is coded by its core read as a base-d number, most
-    significant digit first, so codes sort as the matrices' bytes do and the
-    matrices are coded 0 .. d^((d-1)^2) - 1.  The seed of each orbit is its
-    least unclaimed code, hence its lexmin.  index_mats is a sorted stack of
-    dephased matrices with index_texts listed under them.  Yields the bytes
-    of each orbit's lexmin matrix, its size and the sorted texts listed under
-    the index matrices it holds, in order of the lexmins.
+    A dephased matrix is coded by its core read as a base-d number, so codes
+    sort as the matrices' bytes do; ALL_SCOPE_BUDGET keeps the codes below
+    10^7, in int32.  Each batch gathers every image of the least ORBIT_BATCH
+    unclaimed codes.  An orbit whose lexmin lies below the least unclaimed
+    code is claimed whole, so a candidate's orbit lexmin is unclaimed and no
+    larger than the candidate, hence in the batch: the candidate seeds a new
+    orbit exactly when it is the least code of its orbit.
     """
     core = (d - 1) ** 2
-    weights = d ** np.arange(core - 1, -1, -1, dtype=np.int64)
-    index_codes = index_mats[:, 1:, 1:].reshape(-1, core) @ weights
-    claimed = np.zeros(d**core, dtype=bool)
-    seed = np.zeros((d, d), dtype=np.uint8)
-    for code in range(d**core):
-        if claimed[code]:
-            continue
-        seed[1:, 1:] = (code // weights % d).reshape(d - 1, d - 1)
-        codes = _orbit(seed, lambda b: b[:, 1:, 1:].reshape(len(b), core) @ weights)
-        claimed[codes] = True
-        hits = _positions(index_codes, codes)
-        texts = sorted(itertools.chain.from_iterable(index_texts[j] for j in hits))
-        yield seed.tobytes(), len(codes), texts
+    weights = d ** np.arange(core - 1, -1, -1, dtype=np.int32)
+    # (core cell, pair) offsets, so that each cell's images are contiguous
+    offsets = _image_offsets(d, np.arange(math.factorial(d) ** 2))[:, 1:, 1:].reshape(-1, core).T
+    label = np.full(d**core, -1, dtype=np.int32)  # orbit id of each code
+    seeds, sizes, start = [], [], 0
+    while start < len(label):
+        free = start + np.flatnonzero(label[start:start + ORBIT_CHUNK] < 0)[:ORBIT_BATCH]
+        start = free[-1] + 1 if len(free) == ORBIT_BATCH else start + ORBIT_CHUNK
+        mats = np.zeros((len(free), d, d), dtype=np.uint8)
+        mats[:, 1:, 1:] = (free[:, None] // weights % d).reshape(-1, d - 1, d - 1)
+        tables = _pivot_tables(mats).astype(np.uint8).reshape(len(free), d**4)
+        images = np.take(tables, offsets, axis=1)  # (candidate, core cell, pair)
+        codes = images[:, 0].astype(np.int32)
+        for cell in range(1, core):
+            codes = codes * d + images[:, cell]
+        new = codes.min(axis=1) == free
+        codes = np.sort(codes[new], axis=1)
+        label[codes] = len(sizes) + np.arange(len(codes), dtype=np.int32)[:, None]
+        seeds.append(mats[new])
+        sizes += (1 + np.count_nonzero(np.diff(codes, axis=1), axis=1)).tolist()
+    forms = [(mat.tobytes(), size) for mat, size in zip(np.concatenate(seeds), sizes)]
+    return forms, label[index_mats[:, 1:, 1:].reshape(-1, core) @ weights].tolist()
 
 
 def classify_lfp(d, scope="all", threads=None):
@@ -492,26 +497,26 @@ def classify_lfp(d, scope="all", threads=None):
             f"scope=all at d={d} needs {d ** ((d - 1) ** 2)} matrices > {ALL_SCOPE_BUDGET}"
         )
     poly_index = dephased_polynomial_index(d)
-    index_keys = sorted(poly_index)
-    index_mats = np.frombuffer(b"".join(index_keys), dtype=np.uint8).reshape(-1, d, d)
-    index_texts = [poly_index[k] for k in index_keys]
+    index_mats = np.frombuffer(b"".join(poly_index), dtype=np.uint8).reshape(-1, d, d)
     if scope == "all":
         seed_count = d ** ((d - 1) ** 2)
-        found = list(_close_orbits(d, index_mats, index_texts))
+        forms, orbit_of = _close_orbits(d, index_mats)
     else:
         # the index keys fall into orbits by canonical form; the polynomial
         # enumeration budget leaves at most 162 keys (d = 6) to search
-        seed_count = len(index_keys)
-        groups = {}
-        for (best, size), texts in zip(_canonical_forms(index_mats), index_texts):
-            groups.setdefault((best, size), []).extend(texts)
-        found = sorted((best, size, sorted(texts)) for (best, size), texts in groups.items())
+        seed_count = len(poly_index)
+        held = _canonical_forms(index_mats)
+        forms = sorted(set(held))
+        orbit_of = [forms.index(form) for form in held]
+    texts = [[] for _ in forms]
+    for orbit, listed in zip(orbit_of, poly_index.values()):
+        texts[orbit] += listed
     orbits = [
         OrbitRecord(
-            cid, best, size, bool(texts), texts,
+            cid, best, size, bool(listed), sorted(listed),
             invariants_fingerprint(key_to_function(d, best)),
         )
-        for cid, (best, size, texts) in enumerate(found)
+        for cid, ((best, size), listed) in enumerate(zip(forms, texts))
     ]
     provenance = {
         "seed_count": seed_count,
@@ -561,26 +566,15 @@ def special_function(name, d, params=None):
         return FiniteFunction.from_callable(
             d, 2, lambda x: x[0] * pow(x[1], e, d) % d
         )
-    if name == "f22":
-        if d != 4:
-            raise ValueError("f22 is a d=4 construction")
-        return FiniteFunction.from_callable(
-            4, 2, lambda x: (x[0] * x[1] ** 2 + x[0] ** 2 * x[1] + 2 * x[0] * x[1]) % 4
-        )
-    if name == "h4":
-        if d != 4:
-            raise ValueError("h4 is a d=4 construction")
-        return FiniteFunction.from_callable(
-            4, 2, lambda x: (x[0] ** 2 * x[1] + x[0] * x[1] ** 2 + 3 * x[0] * x[1]) % 4
-        )
-    if name == "f32_fixture":
-        if d != 6:
-            raise ValueError("f32_fixture is a d=6 matrix")
-        return FiniteFunction.from_matrix(6, F32_MATRIX)
-    if name == "s6_fixture":
-        if d != 6:
-            raise ValueError("s6_fixture is a d=6 matrix")
-        return FiniteFunction.from_matrix(6, S6_MATRIX)
+    fixed_d = {"f22": 4, "h4": 4, "f32_fixture": 6, "s6_fixture": 6}.get(name, d)
+    if d != fixed_d:
+        raise ValueError(f"{name} is a d={fixed_d} construction")
+    if name in ("f22", "h4"):
+        # x y^2 + x^2 y + c x y, with c = 2 (f22) or 3 (h4)
+        c = 2 if name == "f22" else 3
+        return FiniteFunction.from_callable(4, 2, lambda x: x[0] * x[1] * (x[0] + x[1] + c) % 4)
+    if name in ("f32_fixture", "s6_fixture"):
+        return FiniteFunction.from_matrix(6, F32_MATRIX if name == "f32_fixture" else S6_MATRIX)
     if name in ("rank2_f", "rank2_g", "rank2_h"):
         # two-output constructions built from x^(d-1): 1 for x > 0, else 0
         k = params.get("k", 1)

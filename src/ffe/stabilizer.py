@@ -12,6 +12,7 @@ import numpy as np
 from .fpops import FPElement
 from .ring import (
     ArityError,
+    FiniteFunction,
     PermutationError,
     _is_int,
     check_permutation,
@@ -92,7 +93,8 @@ class StabilizerSet:
 
 def make_stabilizer(f, perm):
     """S_{f,pi} = X_pi Z_{f o pi - f}; stabilizes |f> with zero phase."""
-    return FPElement(0, perm, f.compose_global_permutation(perm) - f)
+    diff = np.subtract(f.compose_global_permutation(perm).values, f.values) % f.d
+    return FPElement(0, perm, FiniteFunction._of_residues(f.d, f.n, diff.tolist()))
 
 
 def complete_set(f, cycles):

@@ -28,6 +28,13 @@ check.
   coefficient choices (`normal_form_basis`) and the term texts with the
   index; tests/test_classify.py's `index_by_dephasing` checks those at
   d = 2 and 3 through one Polynomial and a scalar dephase per form.
+- `lfp_orbit` is `classify.lfp_orbit_keys` as a set of FiniteFunctions.
+- `close_orbits_by_seed` is the all-states orbit closure the way the library
+  once ran it: the least unclaimed core code seeds an orbit, one `_orbit`
+  call per seed closes it, and a searchsorted finds the index matrices it
+  holds.  It shares `classify._orbit` (the pivot tables and their offsets)
+  with the batched closure; tests/test_classify.py checks `_orbit` against
+  a permutation-by-permutation closure.
 """
 import itertools
 import math
@@ -36,6 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ffe import classify
 from ffe.cyclo import CyclotomicInt, CyclotomicRat
 from ffe.polynomials import _term_text, _text_order, enumerate_polynomial_blocks
 
@@ -373,6 +381,39 @@ def index_by_block_dephasing(d):
         for key, text in zip(keys.astype(np.uint8), texts):
             index.setdefault(key.tobytes(), []).append(text)
     return {key: sorted(texts) for key, texts in index.items()}
+
+
+def lfp_orbit(f):
+    """The orbit of dephased image matrices of f, as FiniteFunctions."""
+    return {classify.key_to_function(f.d, key) for key in classify.lfp_orbit_keys(f)}
+
+
+def _positions(sorted_keys, keys):
+    """Positions in sorted_keys of those of keys that it holds."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos[sorted_keys[pos] == keys]
+
+
+def close_orbits_by_seed(d, index_mats, index_texts):
+    """(lexmin bytes, size, sorted texts) of every LFP orbit of dephased
+    d x d matrices, one `_orbit` call per seed, in order of the lexmins.
+    index_mats is a sorted stack of dephased matrices with index_texts listed
+    under them."""
+    core = (d - 1) ** 2
+    weights = d ** np.arange(core - 1, -1, -1, dtype=np.int64)
+    index_codes = index_mats[:, 1:, 1:].reshape(-1, core) @ weights
+    claimed = np.zeros(d**core, dtype=bool)
+    seed = np.zeros((d, d), dtype=np.uint8)
+    for code in range(d**core):
+        if claimed[code]:
+            continue
+        seed[1:, 1:] = (code // weights % d).reshape(d - 1, d - 1)
+        orbit = np.frombuffer(classify._orbit(seed).tobytes(), dtype=np.uint8)
+        codes = orbit.reshape(-1, d, d)[:, 1:, 1:].reshape(-1, core) @ weights
+        claimed[codes] = True
+        hits = _positions(index_codes, codes)
+        texts = sorted(itertools.chain.from_iterable(index_texts[j] for j in hits))
+        yield seed.tobytes(), len(codes), texts
 
 
 def row_signature(f, axis):

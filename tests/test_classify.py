@@ -1,4 +1,5 @@
 """Orbit enumeration, invariants, catalogues, special states, lower bounds."""
+import functools
 import itertools
 import json
 import math
@@ -19,7 +20,6 @@ from ffe.classify import (
     invariant_row_signature,
     invariants_fingerprint,
     key_to_function,
-    lfp_orbit,
     lfp_orbit_keys,
     lower_bound,
     membership_check,
@@ -37,6 +37,7 @@ from ffe.polynomials import (
 from ffe.ring import ArityError, FiniteFunction
 
 import exact_oracles
+from exact_oracles import lfp_orbit
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,33 @@ class TestOrbits:
         assert membership_check(f, f)
         with pytest.raises(BudgetError):
             lfp_orbit_keys(f)
+
+
+@functools.cache
+def closure_by_seed(d):
+    index = dephased_polynomial_index(d)
+    keys = sorted(index)
+    mats = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, d, d)
+    return list(exact_oracles.close_orbits_by_seed(d, mats, [index[k] for k in keys]))
+
+
+def closed_orbits(d):
+    return [(r.representative, r.orbit_size, r.polynomial_reps) for r in classify_lfp(d).orbits]
+
+
+class TestCloseOrbits:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_per_seed_oracle(self, d):
+        assert closed_orbits(d) == closure_by_seed(d)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_batch_boundaries(self, monkeypatch, d, batch):
+        # a batch of 1 holds only the least unclaimed code, always a seed;
+        # in a batch of 5 some candidates fall into the orbit of an earlier
+        # candidate of the same batch (at d = 3, code 3 into that of 1)
+        monkeypatch.setattr(classify, "ORBIT_BATCH", batch)
+        assert closed_orbits(d) == closure_by_seed(d)
 
 
 def closure_form(mat):

@@ -286,7 +286,7 @@ class TestRowColOps:
             image_matrix_row_col_ops(FiniteFunction.zero(3, 1))
 
     def test_row_swap_then_dephase_stays_in_orbit(self):
-        from ffe.classify import lfp_orbit
+        from exact_oracles import lfp_orbit
 
         f = FiniteFunction.from_matrix(3, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
         orbit = lfp_orbit(f)

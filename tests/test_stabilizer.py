@@ -104,6 +104,16 @@ class TestMakeStabilizer:
             out, phase = s.apply(f)
             assert out == f and phase == 0
 
+    @pytest.mark.parametrize("d, n", [(2, 1), (3, 2), (4, 4), (5, 3), (6, 2), (7, 3), (12, 4)])
+    def test_phase_function_is_the_difference(self, d, n):
+        rng = random.Random(d * 10 + n)
+        for _ in range(3):
+            f = random_function(d, n, rng)
+            perm = random_global_perm(d, n, rng)
+            s = make_stabilizer(f, perm)
+            assert s.phase_fn == f.compose_global_permutation(perm) - f
+            assert {type(v) for v in s.phase_fn.values} == {int}
+
     @pytest.mark.parametrize("perm", [(0, 0, 1, 2, 3, 4, 5, 6, 7), tuple(range(8)), tuple(range(10))])
     def test_rejects_a_map_that_is_not_a_permutation(self, perm):
         with pytest.raises(PermutationError):
