@@ -5,9 +5,13 @@ phases and row and column permutations.  Dephasing absorbs every phase, so
 the orbit of a dephased matrix M is exactly {dephase(M[σ][:, τ]) : σ, τ ∈ S_d}.
 Two routines work on these orbits:
 - the canonical form (lfp_canonical) finds an orbit's lexmin and size by a
-  partition-refinement search, without enumerating the orbit.  Membership,
-  the polynomial-scope catalogue and the reference-table lookups use it, at
-  every d up to ring.MAX_D;
+  partition-refinement search over arrays of states, without enumerating
+  the orbit.  One numpy step places the next image row in every state of a
+  stack of matrices, splits the cells of columns and merges equal states; a
+  matrix is done once every column is a cell of its own.  Membership, the
+  polynomial-scope catalogue and the reference-table lookups use it, at
+  every d up to ring.MAX_D: a random pair takes 0.2-0.35 ms at d = 3 and
+  2.5-3.4 ms at d = 12, the 162 keys of the d = 6 polynomial index 16-26 ms;
 - the orbit closure gathers all (d!)^2 images at _image_offsets: for a batch
   of seeds at a time in the all-states catalogue (_close_orbits), and for
   one seed in blocks (_orbit), the canonical form's oracle in the tests.
@@ -52,10 +56,11 @@ ORBIT_BATCH = 32
 # The most images, (d!)^2, that one orbit closure may enumerate: d <= 6
 # (518,400) runs, and d = 7 (25,401,600) raises BudgetError before any work.
 ORBIT_BUDGET = math.factorial(6) ** 2
-# The most states (placements of a row) one step of the canonical-form search
-# may hold.  Merging equal states kept it at 240 or fewer on every matrix
-# tried up to d = 12; the bound stops a matrix whose symmetries the merging
-# misses.
+# The most candidates (a state and a row it places) one step of the
+# canonical-form search may hold for one matrix.  The first step holds at
+# most d^2 (d - 1), 1,584 at d = 12, and merging equal states kept every
+# later step below that on every matrix tried up to d = 12; the bound stops
+# a matrix whose symmetries the merging misses.
 CANONICAL_STATE_BUDGET = 10**6
 
 
@@ -123,104 +128,77 @@ def _orbit(seed):
     return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
-def _next_rows(states):
-    """Place one more row in every state and keep the least placements.
-
-    states maps (cell sizes, remaining rows) to a count of labellings.  The
-    remaining rows hold their columns in cell order, so the best next row of
-    an image is a remaining row sorted within each cell; every placement of a
-    least such row is kept, its cells split by that row's values.  States
-    that end up equal are merged, adding their counts: identical rows and
-    symmetric pivots then cost one state, not one per labelling.
+def _canonical_forms(mats):
+    """(lexmin key, orbit size) of the LFP orbit of each of an (n, d, d)
+    stack of matrices, by McKay and Piperno's partition refinement without
+    automorphism pruning.  A state is a partial labelling of one pivot
+    (r, c): its matrix ks, the cells of the columns but c in cell order (a
+    column's cell is its values in the placed rows, in base d), its unplaced
+    rows and its count of labellings.  The orbit size is (d!)^2 over the
+    count of (σ, τ) that reach the lexmin.
     """
-    best, placed = None, []
-    for (sizes, rows), count in states.items():
-        for k, row in enumerate(rows):
-            value, at = [], 0
-            for size in sizes:
-                value += sorted(row[at:at + size])
-                at += size
-            value = tuple(value)
-            if best is None or value < best:
-                best, placed = value, []
-            if value == best:
-                placed.append((sizes, rows, k, count))
-        if len(placed) > CANONICAL_STATE_BUDGET:
+    n, d, _ = mats.shape
+    weights = d ** np.arange(d - 2, -1, -1, dtype=np.int64)
+    # one state per (matrix, pivot (r, c)): the pivot table's rows but r on
+    # its columns but c, all in one cell
+    others = np.arange(d - 1) + (np.arange(d - 1) >= np.arange(d)[:, None])
+    rows = _pivot_tables(mats)[
+        :, np.arange(d)[:, None, None, None], np.arange(d)[:, None, None],
+        others[:, None, :, None], others[:, None, :],
+    ].reshape(n * d * d, d - 1, d - 1)
+    ks = np.repeat(np.arange(n), d * d)
+    cells = np.zeros((len(ks), d - 1), dtype=np.int64)
+    counts = np.ones(len(ks), dtype=np.int64)
+    images = np.zeros((n, d, d), dtype=np.uint8)
+    aut = np.zeros(n, dtype=np.int64)
+    for placed in range(1, d):
+        # every row as the next image row: sorted within cells, in base d
+        values = np.sort(cells[:, None, :] * d + rows, axis=-1) % d
+        codes = values @ weights
+        least = np.full(n, d ** (d - 1))
+        np.minimum.at(least, ks, codes.min(axis=1))
+        states, picks = np.nonzero(codes == least[ks, None])
+        if np.bincount(ks[states]).max() > CANONICAL_STATE_BUDGET:
             raise BudgetError(
                 f"the canonical form search needs more than {CANONICAL_STATE_BUDGET} states"
             )
-    merged = {}
-    for sizes, rows, k, count in placed:
-        row, order, split, at = rows[k], [], [], 0
-        for size in sizes:
-            cell = sorted(range(at, at + size), key=row.__getitem__)
-            order += cell
-            split += [len(list(g)) for _, g in itertools.groupby(cell, key=row.__getitem__)]
-            at += size
-        rest = sorted(tuple(r[j] for j in order) for r in rows[:k] + rows[k + 1:])
-        key = (tuple(split), tuple(rest))
-        merged[key] = merged.get(key, 0) + count
-    return best, merged
-
-
-def _canonical_forms(mats):
-    """(lexmin key, orbit size) of the LFP orbit of each of an (n, d, d)
-    stack of matrices, without enumerating the orbits.
-
-    The search places the image rows one at a time over all pivots at once
-    (McKay and Piperno's partition refinement, without automorphism
-    pruning).  The lexmin is the rows it places.  The (σ, τ) that reach the
-    lexmin are counted by the final states: each count of labellings times
-    the orderings of columns that no row tells apart.  The orbit size is
-    (d!)^2 over that count.
-    """
-    n, d, _ = mats.shape
-    tables = _pivot_tables(mats)
-    # The first row, for every (pivot (r, c), row i) pair at once: row i of
-    # pivot table (r, c), sorted, read as a base-d number.  Row r, all zeros,
-    # is the pivot itself and never a candidate.
-    first = np.sort(tables, axis=-1) @ d ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    first[:, np.arange(d), :, np.arange(d)] = d**d
-    ks, rs, cs, picks = np.nonzero(first == first.min(axis=(1, 2, 3), keepdims=True))
-    # The state after that row, for every least (k, r, c, i): the columns but
-    # c in order of their values in row i, and the rows but r and i.
-    pivot_tables = tables[ks, rs, cs]
-    each = np.arange(len(ks))[:, None]
-    cols = np.arange(d - 1) + (np.arange(d - 1) >= cs[:, None])  # j != c
-    values = pivot_tables[each, picks[:, None], cols]
-    order = np.argsort(values, axis=1)
-    cols, values = np.take_along_axis(cols, order, 1), np.take_along_axis(values, order, 1)
-    used = (np.arange(d) == rs[:, None]) | (np.arange(d) == picks[:, None])
-    unused = np.argsort(used, axis=1)[:, :d - 2]
-    rest = pivot_tables[each[:, :, None], unused[:, :, None], cols[:, None, :]]
-    # Equal states merge here already: sort each state's rows, read as
-    # base-d numbers, and count the distinct (k, rows).  Row i is the same
-    # least row for every state of one k, and so are the cells it splits.
-    codes = rest @ d ** np.arange(d - 2, -1, -1, dtype=np.int64)
-    order = np.argsort(codes, axis=1)
-    rest = np.take_along_axis(rest, order[:, :, None], 1)
-    codes = np.take_along_axis(codes, order, 1)
-    _, unique, counts = np.unique(np.column_stack([ks, codes]), axis=0,
-                                  return_index=True, return_counts=True)
-    images = [None] * n
-    starts = [{} for _ in range(n)]
-    for k, value, rows, count in zip(ks[unique].tolist(), values[unique].tolist(),
-                                     rest[unique].tolist(), counts.tolist()):
-        images[k] = [(0,) * d, (0,) + tuple(value)]
-        sizes = tuple(len(list(g)) for _, g in itertools.groupby(value))
-        starts[k][sizes, tuple(map(tuple, rows))] = count
-    forms = []
-    for image, states in zip(images, starts):
-        for _ in range(d - 2):
-            best, states = _next_rows(states)
-            image.append((0,) + best)
-        aut = sum(
-            count * math.prod(math.factorial(size) for size in sizes)
-            for (sizes, _), count in states.items()
-        )
-        forms.append((bytes(itertools.chain.from_iterable(image)),
-                      math.factorial(d) ** 2 // aut))
-    return forms
+        ks, counts, each = ks[states], counts[states], np.arange(len(states))[:, None]
+        images[ks, placed, 1:] = values[states, picks]
+        # split the cells by the placed row; the other rows on the columns in
+        # their new order, sorted by code (the placed row, coded past all, last)
+        cells = cells[states] * d + rows[states, picks]
+        order = np.argsort(cells, axis=1, kind="stable")
+        cells = cells[each, order]
+        rows = rows[states[:, None, None], np.arange(d - placed)[:, None], order[:, None, :]]
+        codes = rows @ weights
+        codes[each[:, 0], picks] = d ** (d - 1)
+        by_code = np.argsort(codes, axis=1)[:, :-1]
+        rows, codes = rows[each, by_code], codes[each, by_code]
+        # merge equal states; the cells are the same in every state of a
+        # matrix, as the placed rows are, so (ks, rows) tells states apart
+        order = np.lexsort((*codes.T[::-1], ks))
+        ks, codes = ks[order], codes[order]
+        new = np.ones(len(ks), dtype=bool)
+        new[1:] = (ks[1:] != ks[:-1]) | (codes[1:] != codes[:-1]).any(axis=1)
+        first = np.flatnonzero(new)
+        counts = np.add.reduceat(counts[order], first)
+        ks, cells, rows, codes = ks[first], cells[order[first]], rows[order[first]], codes[first]
+        # A matrix is done when every column is a cell of its own, or when no
+        # row is left.  Its first state holds the lexmin, which the orderings
+        # of its equal rows (of its cells, when no row is left) keep: their
+        # number is the product over entries of the equal entries up to it.
+        done = (cells[:, 1:] != cells[:, :-1]).all(axis=1) | (placed == d - 1)
+        if done.any():
+            heads = done & np.append(True, ks[1:] != ks[:-1])
+            images[ks[heads], placed + 1:, 1:] = rows[heads]
+            tied = codes[heads] if placed < d - 1 else cells[heads]
+            ties = (tied[:, :, None] == tied[:, None, :]) & np.tri(tied.shape[1], dtype=bool)
+            aut[ks[heads]] = counts[heads] * ties.sum(axis=2).prod(axis=1)
+            ks, cells, rows, counts = ks[~done], cells[~done], rows[~done], counts[~done]
+            if not len(ks):
+                break
+    return [(image.tobytes(), math.factorial(d) ** 2 // size)
+            for image, size in zip(images, aut.tolist())]
 
 
 def lfp_canonical(mat, d):

@@ -242,10 +242,11 @@ def main(argv=None):
     except (BudgetError, EnumerationTooLarge) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # ArityError, PermutationError, PolynomialParseError and malformed
         # JSON are all ValueErrors; the budget errors above are too, so
-        # they must be caught first
+        # they must be caught first.  An OSError is a --out or --fixtures
+        # path that cannot be written or read.
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -37,15 +37,35 @@ KNOWN_DISCREPANCIES = {
 }
 
 
+def _well_formed(d, data):
+    """Whether data lists classes, each with an index, its singular values
+    and members: matrices (lists of rows) at d = 3, else polynomial texts."""
+    def member_ok(m):
+        if d == 3:
+            return isinstance(m.get("matrix"), list) and all(isinstance(r, list) for r in m["matrix"])
+        return isinstance(m.get("polynomial"), str)
+
+    return isinstance(data, dict) and isinstance(data.get("classes"), list) and all(
+        isinstance(cls, dict) and "index" in cls
+        and isinstance(cls.get("singular_values"), list)
+        and all(isinstance(v, (int, float)) for v in cls["singular_values"])
+        and isinstance(cls.get("members"), list) and cls["members"]
+        and all(isinstance(m, dict) and member_ok(m) for m in cls["members"])
+        for cls in data["classes"]
+    )
+
+
 def load_fixture(d, path=None):
+    """The reference tables for d, from path or the packaged file.  A file
+    that cannot be read raises OSError, a malformed one ValueError."""
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
     else:
         ref = resources.files("ffe.data") / FIXTURE_FILES[d]
         data = json.loads(ref.read_text())
-    if not data.get("classes"):
-        raise ValueError(f"fixture for d={d} is empty")
+    if not _well_formed(d, data) or not data["classes"]:
+        raise ValueError(f"fixture for d={d} is empty or malformed")
     return data
 
 

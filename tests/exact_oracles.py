@@ -35,6 +35,12 @@ check.
   holds.  It shares `classify._orbit` (the pivot tables and their offsets)
   with the batched closure; tests/test_classify.py checks `_orbit` against
   a permutation-by-permutation closure.
+- `canonical_forms_by_rows` is the LFP canonical-form search the way the
+  library once ran it: the first row of every pivot placed in numpy, every
+  later row by `_next_rows` over a dict of (cell sizes, rows) tuples.  It
+  shares only `classify._pivot_tables` with the library's array-state search,
+  which tests/test_classify.py checks against it at d = 2..12 and against
+  the orbit closure at d <= 6.
 """
 import itertools
 import math
@@ -414,6 +420,93 @@ def close_orbits_by_seed(d, index_mats, index_texts):
         hits = _positions(index_codes, codes)
         texts = sorted(itertools.chain.from_iterable(index_texts[j] for j in hits))
         yield seed.tobytes(), len(codes), texts
+
+
+def _next_rows(states):
+    """Place one more row in every state and keep the least placements.
+
+    states maps (cell sizes, remaining rows) to a count of labellings.  The
+    remaining rows hold their columns in cell order, so the best next row of
+    an image is a remaining row sorted within each cell; every placement of a
+    least such row is kept, its cells split by that row's values.  States
+    that end up equal are merged, adding their counts.
+    """
+    best, placed = None, []
+    for (sizes, rows), count in states.items():
+        for k, row in enumerate(rows):
+            value, at = [], 0
+            for size in sizes:
+                value += sorted(row[at:at + size])
+                at += size
+            value = tuple(value)
+            if best is None or value < best:
+                best, placed = value, []
+            if value == best:
+                placed.append((sizes, rows, k, count))
+    merged = {}
+    for sizes, rows, k, count in placed:
+        row, order, split, at = rows[k], [], [], 0
+        for size in sizes:
+            cell = sorted(range(at, at + size), key=row.__getitem__)
+            order += cell
+            split += [len(list(g)) for _, g in itertools.groupby(cell, key=row.__getitem__)]
+            at += size
+        rest = sorted(tuple(r[j] for j in order) for r in rows[:k] + rows[k + 1:])
+        key = (tuple(split), tuple(rest))
+        merged[key] = merged.get(key, 0) + count
+    return best, merged
+
+
+def canonical_forms_by_rows(mats):
+    """(lexmin key, orbit size) of the LFP orbit of each of an (n, d, d)
+    stack of matrices: the first row over all pivots in numpy, then one
+    `_next_rows` call per later row and matrix, and the orbit size (d!)^2
+    over the sum of each final count times the orderings of its cells."""
+    n, d, _ = mats.shape
+    tables = classify._pivot_tables(mats)
+    # the first row for every (pivot (r, c), row i): row i of table (r, c),
+    # sorted, read as a base-d number; row r, all zeros, is never a candidate
+    first = np.sort(tables, axis=-1) @ d ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    first[:, np.arange(d), :, np.arange(d)] = d**d
+    ks, rs, cs, picks = np.nonzero(first == first.min(axis=(1, 2, 3), keepdims=True))
+    # the state after that row: the columns but c in order of their values
+    # in row i, and the rows but r and i
+    pivot_tables = tables[ks, rs, cs]
+    each = np.arange(len(ks))[:, None]
+    cols = np.arange(d - 1) + (np.arange(d - 1) >= cs[:, None])
+    values = pivot_tables[each, picks[:, None], cols]
+    order = np.argsort(values, axis=1)
+    cols, values = np.take_along_axis(cols, order, 1), np.take_along_axis(values, order, 1)
+    used = (np.arange(d) == rs[:, None]) | (np.arange(d) == picks[:, None])
+    unused = np.argsort(used, axis=1)[:, :d - 2]
+    rest = pivot_tables[each[:, :, None], unused[:, :, None], cols[:, None, :]]
+    # equal states merge here already: sort each state's rows, read as
+    # base-d numbers, and count the distinct (k, rows)
+    codes = rest @ d ** np.arange(d - 2, -1, -1, dtype=np.int64)
+    order = np.argsort(codes, axis=1)
+    rest = np.take_along_axis(rest, order[:, :, None], 1)
+    codes = np.take_along_axis(codes, order, 1)
+    _, unique, counts = np.unique(np.column_stack([ks, codes]), axis=0,
+                                  return_index=True, return_counts=True)
+    images = [None] * n
+    starts = [{} for _ in range(n)]
+    for k, value, rows, count in zip(ks[unique].tolist(), values[unique].tolist(),
+                                     rest[unique].tolist(), counts.tolist()):
+        images[k] = [(0,) * d, (0,) + tuple(value)]
+        sizes = tuple(len(list(g)) for _, g in itertools.groupby(value))
+        starts[k][sizes, tuple(map(tuple, rows))] = count
+    forms = []
+    for image, states in zip(images, starts):
+        for _ in range(d - 2):
+            best, states = _next_rows(states)
+            image.append((0,) + best)
+        aut = sum(
+            count * math.prod(math.factorial(size) for size in sizes)
+            for (sizes, _), count in states.items()
+        )
+        forms.append((bytes(itertools.chain.from_iterable(image)),
+                      math.factorial(d) ** 2 // aut))
+    return forms
 
 
 def row_signature(f, axis):

@@ -168,6 +168,40 @@ def random_matrix(d, seed, repeated_rows=False):
     return mat
 
 
+def repeated_distinct_rows(d, seed):
+    """Rows drawn from three rows of distinct values and the zero row, each
+    shifted by a constant.  The cells can all split while equal rows are
+    still unplaced, so that the orderings of those rows count."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([rng.permutation(d) for _ in range(3)] + [np.zeros(d, dtype=int)])
+    return (pool[rng.integers(0, 4, d)] + rng.integers(0, d, (d, 1))) % d
+
+
+def search_matrices(d):
+    """Inputs of the canonical-form search at one d: random matrices, with
+    repeated and shifted rows, permuted c*x*y, Fourier, the zero matrix and
+    two column classes (cells that never all split), repeated rows of
+    distinct values, and x^2*y at d = 7."""
+    rng = np.random.default_rng(100 + d)
+    c = int(rng.integers(1, d))
+    bilinear = c * np.outer(np.arange(d), np.arange(d)) % d
+    mats = [
+        random_matrix(d, d),
+        random_matrix(d, d + 1),
+        bilinear[rng.permutation(d)][:, rng.permutation(d)],
+        np.reshape(special_function("fourier", d).values, (d, d)),
+        np.zeros((d, d), dtype=int),
+        np.outer(rng.integers(0, d, d), np.arange(d) % 2) % d,
+        repeated_distinct_rows(d, d),
+        repeated_distinct_rows(d, d + 1),
+    ]
+    if d >= 4:
+        mats.append(random_matrix(d, d, repeated_rows=True))
+    if d == 7:
+        mats.append(np.reshape(parse_polynomial("x^2*y", 7, 2).to_function().values, (7, 7)))
+    return np.array(mats)
+
+
 class TestCanonicalForm:
     def test_all_dephased_d3(self):
         for vals in itertools.product(range(3), repeat=4):
@@ -210,6 +244,29 @@ class TestCanonicalForm:
     def test_zero_matrix(self, d):
         mat = np.zeros((d, d), dtype=np.uint8)
         assert classify.lfp_canonical(mat, d) == closure_form(mat) == (bytes(d * d), 1)
+
+    # at d = 6, seeds 0 and 5 finish with two equal rows unplaced
+    @pytest.mark.parametrize("d,seed", [(4, 0), (5, 0), (6, 0), (6, 5)])
+    def test_repeated_rows_of_distinct_values(self, d, seed):
+        mat = repeated_distinct_rows(d, seed)
+        assert classify.lfp_canonical(mat, d) == closure_form(mat.astype(np.uint8))
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_matches_row_by_row_oracle(self, d):
+        # past d = 6 no closure exists; the oracle places rows one at a
+        # time in Python, sharing only the pivot tables with the library
+        mats = search_matrices(d)
+        for mat in mats:
+            assert classify.lfp_canonical(mat, d) == exact_oracles.canonical_forms_by_rows(mat[None])[0]
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_stack_matches_single(self, d):
+        # the matrices of one stack finish at different steps: after one or
+        # two rows, or only when every row is placed
+        mats = search_matrices(d)
+        stack = np.concatenate([mats, mats[::-1]])
+        singles = [classify.lfp_canonical(mat, d) for mat in mats]
+        assert classify._canonical_forms(stack) == singles + singles[::-1]
 
     @pytest.mark.parametrize("d", range(7, 13))
     def test_invariant_under_lfp_operations(self, d):

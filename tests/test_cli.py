@@ -62,6 +62,15 @@ class TestClassify:
         doc = json.loads(path.read_text())
         assert len(doc["classes"]) == 9
 
+    @pytest.mark.parametrize("where", ["missing-dir/cat.json", "."])
+    def test_unwritable_out(self, capsys, tmp_path, where):
+        # a path in a missing directory, and a directory
+        out_path = tmp_path / where
+        code, out, err = run(capsys, "classify", "--d", "2", "--out", str(out_path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("input error:") and str(out_path) in err
+        assert len(err.splitlines()) == 1
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "cat.csv"
         code, _, _ = run(
@@ -438,3 +447,30 @@ class TestVerifyAppendix:
     def test_missing_fixture(self, capsys):
         code, _, err = run(capsys, "verify-appendix", "--d", "3", "--fixtures", "/no/such.json")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            {"classes": [{"index": 0}]},
+            [{"index": 0, "members": [], "singular_values": []}],
+            {"classes": {"index": 0}},
+            {"classes": [{"index": 0, "singular_values": [1.0], "members": []}]},
+            {"classes": [{"index": 0, "singular_values": [1.0], "members": [{"matrix": [0, 0, 0]}]}]},
+            {"classes": [{"index": 0, "singular_values": [1.0], "members": [{"polynomial": 0}]}]},
+            {"classes": [{"index": 0, "singular_values": ["1"], "members": [{}]}]},
+            "not json",
+        ],
+    )
+    def test_malformed_fixture(self, capsys, tmp_path, d, fixture):
+        path = tmp_path / "fixture.json"
+        path.write_text(fixture if isinstance(fixture, str) else json.dumps(fixture))
+        code, out, err = run(capsys, "verify-appendix", "--d", str(d), "--fixtures", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("input error:") and len(err.splitlines()) == 1
+
+    def test_fixture_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify-appendix", "--d", "3", "--fixtures", str(tmp_path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("input error:") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1
