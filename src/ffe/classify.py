@@ -17,6 +17,11 @@ Two routines work on these orbits:
   one seed in blocks (_orbit), the canonical form's oracle in the tests.
 Local-unitary (LU) classes group LFP classes by the exact trace-power
 signature of the Gram matrix of a representative.
+
+A Catalogue holds the classes.  Its immutable records keep what the
+searches found: an LFP class's id, representative key, orbit size and
+polynomial texts, an LU class's id and members.  What derives from the
+representatives is a catalogue column (see Catalogue).
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ import itertools
 import json
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,74 +227,58 @@ def key_to_function(d, key):
     return FiniteFunction._of_residues(d, 2, key)
 
 
-class OrbitRecord:
-    __slots__ = (
-        "lfp_class_id",
-        "representative",
-        "orbit_size",
-        "contains_polynomial",
-        "polynomial_reps",
-        "invariants_fingerprint",
-        "singular_values",
-    )
+class OrbitRecord(NamedTuple):
+    lfp_class_id: int
+    representative: bytes
+    orbit_size: int
+    polynomial_reps: list
 
-    def __init__(self, lfp_class_id, representative, orbit_size,
-                 contains_polynomial, polynomial_reps, invariants_fingerprint):
-        self.lfp_class_id = lfp_class_id
-        self.representative = representative
-        self.orbit_size = orbit_size
-        self.contains_polynomial = contains_polynomial
-        self.polynomial_reps = polynomial_reps
-        self.invariants_fingerprint = invariants_fingerprint
-        self.singular_values = None  # filled by Catalogue.class_singular_values
+    @property
+    def contains_polynomial(self):
+        return bool(self.polynomial_reps)
 
 
-class LUClassRecord:
-    __slots__ = ("lu_class_id", "signature", "member_lfp_class_ids", "singular_values")
-
-    def __init__(self, lu_class_id, signature, member_lfp_class_ids, sv):
-        self.lu_class_id = lu_class_id
-        self.signature = signature
-        self.member_lfp_class_ids = member_lfp_class_ids
-        self.singular_values = sv
+class LUClassRecord(NamedTuple):
+    lu_class_id: int
+    member_lfp_class_ids: list
 
 
 class Catalogue:
+    """The LFP classes of a scope, in id order, and their LU classes.
+
+    images, the (N, d, d) uint8 stack of the representatives, is built with
+    the catalogue; the columns singular_values and fingerprints are computed
+    from it once, on first use.  An LU class has its least member's values.
+    """
+
     def __init__(self, d, scope, orbits, lu_classes=None, provenance=None):
         self.d = d
         self.scope = scope
         self.orbits = orbits
         self.lu_classes = lu_classes or []
         self.provenance = provenance or {}
-        self.lu_of_lfp = {}
-        for rec in self.lu_classes:
-            for cid in rec.member_lfp_class_ids:
-                self.lu_of_lfp[cid] = rec.lu_class_id
+        self.lu_of_lfp = {
+            cid: rec.lu_class_id for rec in self.lu_classes for cid in rec.member_lfp_class_ids
+        }
+        reps = b"".join(rec.representative for rec in orbits)
+        self.images = np.frombuffer(reps, dtype=np.uint8).reshape(-1, d, d)
 
-    def representative_images(self, records):
-        """(N, d, d) uint8 stack of the image matrices of the records'
-        representatives."""
-        reps = b"".join(r.representative for r in records)
-        return np.frombuffer(reps, dtype=np.uint8).reshape(-1, self.d, self.d)
+    @functools.cached_property
+    def singular_values(self):
+        return singular_values_stack(self.images)
 
-    def class_singular_values(self, rec):
-        """Singular values of an LFP class's representative. The first call
-        computes those of every class still lacking them, in one stack."""
-        if rec.singular_values is None:
-            todo = [r for r in self.orbits if r.singular_values is None]
-            images = self.representative_images(todo)
-            for r, sv in zip(todo, singular_values_stack(images)):
-                r.singular_values = sv
-        return rec.singular_values
+    @functools.cached_property
+    def fingerprints(self):
+        return [invariants_fingerprint(key_to_function(self.d, rec.representative))
+                for rec in self.orbits]
 
     def to_json(self):
-        classes = []
-        for rec in self.orbits:
-            rep = key_to_function(self.d, rec.representative)
-            it, rowsig, colsig, haag = rec.invariants_fingerprint
+        classes, sv = [], self.singular_values
+        columns = zip(self.orbits, self.images.tolist(), self.fingerprints, sv)
+        for rec, rep, (it, rowsig, colsig, haag), values in columns:
             entry = {
                 "id": rec.lfp_class_id,
-                "representative": rep.as_matrix(),
+                "representative": rep,
                 "orbit_size": rec.orbit_size,
                 "contains_polynomial": rec.contains_polynomial,
                 "polynomials": rec.polynomial_reps,
@@ -296,9 +286,7 @@ class Catalogue:
                 "row_signature": list(rowsig),
                 "col_signature": list(colsig),
                 "haagerup": list(haag),
-                "singular_values": [
-                    round(v, 10) for v in self.class_singular_values(rec)
-                ],
+                "singular_values": [round(v, 10) for v in values],
             }
             if rec.lfp_class_id in self.lu_of_lfp:
                 entry["lu_class"] = self.lu_of_lfp[rec.lfp_class_id]
@@ -312,7 +300,9 @@ class Catalogue:
                     {
                         "id": rec.lu_class_id,
                         "members": list(rec.member_lfp_class_ids),
-                        "singular_values": [round(v, 10) for v in rec.singular_values],
+                        "singular_values": [
+                            round(v, 10) for v in sv[min(rec.member_lfp_class_ids)]
+                        ],
                     }
                     for rec in self.lu_classes
                 ],
@@ -337,17 +327,17 @@ class Catalogue:
                 "I_t", "singular_values", "representative",
             ]
         )
-        for rec in self.orbits:
-            rep = key_to_function(self.d, rec.representative)
+        columns = zip(self.orbits, self.images.tolist(), self.fingerprints, self.singular_values)
+        for rec, rep, fingerprint, sv in columns:
             writer.writerow(
                 [
                     rec.lfp_class_id,
                     rec.orbit_size,
                     int(rec.contains_polynomial),
                     self.lu_of_lfp.get(rec.lfp_class_id, ""),
-                    rec.invariants_fingerprint[0],
-                    " ".join(f"{v:.5f}" for v in self.class_singular_values(rec)),
-                    json.dumps(rep.as_matrix()),
+                    fingerprint[0],
+                    " ".join(f"{v:.5f}" for v in sv),
+                    json.dumps(rep),
                 ]
             )
         return buf.getvalue()
@@ -490,10 +480,7 @@ def classify_lfp(d, scope="all", threads=None):
     for orbit, listed in zip(orbit_of, poly_index.values()):
         texts[orbit] += listed
     orbits = [
-        OrbitRecord(
-            cid, best, size, bool(listed), sorted(listed),
-            invariants_fingerprint(key_to_function(d, best)),
-        )
+        OrbitRecord(cid, best, size, sorted(listed))
         for cid, ((best, size), listed) in enumerate(zip(forms, texts))
     ]
     provenance = {
@@ -506,15 +493,13 @@ def classify_lfp(d, scope="all", threads=None):
 
 def classify_lu(cat):
     """Group LFP classes by the exact trace-power signature of representatives."""
-    sigs = trace_power_coeffs(cat.representative_images(cat.orbits), cat.d)
+    sigs = trace_power_coeffs(cat.images, cat.d)
     groups = {}
     for rec, sig in zip(cat.orbits, sigs.tolist()):
         groups.setdefault(tuple(map(tuple, sig)), []).append(rec.lfp_class_id)
-    lu_classes = []
-    ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
-    for lu_id, (sig, members) in enumerate(ordered):
-        sv = cat.class_singular_values(cat.orbits[min(members)])
-        lu_classes.append(LUClassRecord(lu_id, sig, sorted(members), sv))
+    # a group enters at its least member and the classes come in id order,
+    # so the groups and their members are both in order of least id
+    lu_classes = [LUClassRecord(lu_id, members) for lu_id, members in enumerate(groups.values())]
     return Catalogue(cat.d, cat.scope, cat.orbits, lu_classes, cat.provenance)
 
 

@@ -113,7 +113,10 @@ def cmd_equiv(args):
 def _parse_cycles(spec, d, n):
     if spec is None:
         return stabilizer.CycleSpec.plus_cycles(d, n)
-    return stabilizer.CycleSpec(d, json.loads(spec))
+    try:
+        return stabilizer.CycleSpec(d, json.loads(spec))
+    except RecursionError:
+        raise ArityError("--cycles JSON is nested too deeply") from None
 
 
 def cmd_stabilizers(args):

@@ -232,10 +232,11 @@ def compose_index_maps(outer, inner):
 def parse_function(text):
     """Parse the JSON function format (nested or flat values)."""
     try:
-        obj = json.loads(text)
+        return function_from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ArityError(f"malformed function JSON: {exc}") from exc
-    return function_from_json(obj)
+    except RecursionError:
+        raise ArityError("function JSON is nested too deeply") from None
 
 
 def function_from_json(obj):

@@ -9,6 +9,8 @@ transposed orientation ("matrix_orientation": "col_row").
 from __future__ import annotations
 
 import json
+import os
+import stat
 from importlib import resources
 
 import numpy as np
@@ -18,6 +20,8 @@ from .polynomials import is_polynomial, parse_polynomial
 from .ring import FiniteFunction
 
 SV_TOLERANCE = 1e-4
+# the largest --fixtures file read; the packaged tables are 19-91 KB
+MAX_FIXTURE_BYTES = 1 << 20
 
 FIXTURE_FILES = {3: "d3_classes.json", 4: "d4_teh_classes.json", 6: "d6_teh_classes.json"}
 
@@ -39,10 +43,14 @@ KNOWN_DISCREPANCIES = {
 
 def _well_formed(d, data):
     """Whether data lists classes, each with an index, its singular values
-    and members: matrices (lists of rows) at d = 3, else polynomial texts."""
+    and members: d x d matrices (d lists of d entries) at d = 3, else
+    polynomial texts."""
     def member_ok(m):
         if d == 3:
-            return isinstance(m.get("matrix"), list) and all(isinstance(r, list) for r in m["matrix"])
+            matrix = m.get("matrix")
+            return isinstance(matrix, list) and len(matrix) == d and all(
+                isinstance(r, list) and len(r) == d for r in matrix
+            )
         return isinstance(m.get("polynomial"), str)
 
     return isinstance(data, dict) and isinstance(data.get("classes"), list) and all(
@@ -56,14 +64,24 @@ def _well_formed(d, data):
 
 
 def load_fixture(d, path=None):
-    """The reference tables for d, from path or the packaged file.  A file
-    that cannot be read raises OSError, a malformed one ValueError."""
-    if path is not None:
-        with open(path) as fh:
-            data = json.load(fh)
+    """The reference tables for d, from path or the packaged file.  A path
+    that cannot be read raises OSError; one that is not a regular file of at
+    most MAX_FIXTURE_BYTES, or holds malformed tables, raises ValueError."""
+    if path is None:
+        text = (resources.files("ffe.data") / FIXTURE_FILES[d]).read_text()
     else:
-        ref = resources.files("ffe.data") / FIXTURE_FILES[d]
-        data = json.loads(ref.read_text())
+        # checked before open, since opening a FIFO blocks for a writer
+        info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode) or info.st_size > MAX_FIXTURE_BYTES:
+            raise ValueError(
+                f"fixture {path} is not a regular file of at most {MAX_FIXTURE_BYTES} bytes"
+            )
+        with open(path) as fh:
+            text = fh.read()
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"fixture for d={d} is nested too deeply") from None
     if not _well_formed(d, data) or not data["classes"]:
         raise ValueError(f"fixture for d={d} is empty or malformed")
     return data
@@ -103,11 +121,10 @@ def verify_d3(fixture=None):
         cid = ids.pop()
         check(f"{label}_distinct", cid not in seen_ids)
         seen_ids.add(cid)
-        rec = cat.orbits[cid]
-        check(f"{label}_size", rec.orbit_size == len(members))
+        check(f"{label}_size", cat.orbits[cid].orbit_size == len(members))
         check(
             f"{label}_singular_values",
-            _sv_match(cat.class_singular_values(rec), cls["singular_values"]),
+            _sv_match(cat.singular_values[cid], cls["singular_values"]),
         )
     check("partition_total", sum(r.orbit_size for r in cat.orbits) == 81)
     check("lu_count", len(cat.lu_classes) == 6)
@@ -152,9 +169,7 @@ def verify_teh(d, fixture=None):
             listings_by_id.setdefault(cid, []).append(cls)
             check(
                 f"{label}_singular_values",
-                _sv_match(
-                    cat.class_singular_values(cat.orbits[cid]), cls["singular_values"]
-                ),
+                _sv_match(cat.singular_values[cid], cls["singular_values"]),
             )
     check("listing_covers_all_classes", len(listings_by_id) == len(cat.orbits))
     # listed classes that land in the same computed class must agree with

@@ -12,6 +12,8 @@ import pytest
 from ffe import classify
 from ffe.classify import (
     BudgetError,
+    LUClassRecord,
+    OrbitRecord,
     classify_lfp,
     classify_lu,
     dephased_polynomial_index,
@@ -35,6 +37,7 @@ from ffe.polynomials import (
     parse_polynomial,
 )
 from ffe.ring import ArityError, FiniteFunction
+from ffe.verify import verify_appendix
 
 import exact_oracles
 from exact_oracles import lfp_orbit
@@ -382,6 +385,68 @@ class TestClassifyD3:
         assert {c["lu_class"] for c in doc["classes"]} == set(range(6))
         csv_text = cat3.to_csv()
         assert len(csv_text.strip().splitlines()) == 10
+
+
+class TestCatalogueColumns:
+    """The records keep what the orbit search found; everything derived from
+    the representatives is a catalogue column, computed once."""
+
+    CATALOGUES = ["cat3_all", "cat4_full", "cat4_teh", "cat6_teh"]
+
+    def test_columns_computed_once(self, monkeypatch):
+        calls = {"singular_values_stack": 0, "invariants_fingerprint": 0}
+
+        def counted(name):
+            fn = getattr(classify, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(classify, name, wrapper)
+
+        counted("singular_values_stack")
+        counted("invariants_fingerprint")
+        cat = classify_lu(classify_lfp(3, "all"))
+        assert calls == {"singular_values_stack": 0, "invariants_fingerprint": 0}
+        cat.to_json()
+        cat.to_csv()
+        cat.to_json()
+        assert calls == {"singular_values_stack": 1, "invariants_fingerprint": len(cat.orbits)}
+        # verify reads the singular values of its own catalogue, never the
+        # fingerprints
+        calls.update(singular_values_stack=0, invariants_fingerprint=0)
+        assert verify_appendix(3)["ok"]
+        assert calls == {"singular_values_stack": 1, "invariants_fingerprint": 0}
+
+    @pytest.mark.parametrize("name", CATALOGUES)
+    def test_columns_match_representatives(self, request, name):
+        cat = request.getfixturevalue(name)
+        assert len(cat.images) == len(cat.fingerprints) == len(cat.orbits)
+        for i, rec in enumerate(cat.orbits):
+            assert rec.lfp_class_id == i
+            assert cat.images[i].tobytes() == rec.representative
+            f = key_to_function(cat.d, rec.representative)
+            assert cat.fingerprints[i] == invariants_fingerprint(f)
+
+    @pytest.mark.parametrize("name", CATALOGUES)
+    def test_contains_polynomial_is_derived(self, request, name):
+        cat = request.getfixturevalue(name)
+        for rec in cat.orbits:
+            assert rec.contains_polynomial == bool(rec.polynomial_reps)
+        with pytest.raises(AttributeError):
+            cat.orbits[0].contains_polynomial = False
+
+    def test_records_keep_search_results_only(self, cat3_all):
+        assert OrbitRecord._fields == (
+            "lfp_class_id", "representative", "orbit_size", "polynomial_reps"
+        )
+        assert LUClassRecord._fields == ("lu_class_id", "member_lfp_class_ids")
+        with pytest.raises(AttributeError):
+            cat3_all.lu_classes[0].member_lfp_class_ids = []
+        doc = json.loads(cat3_all.to_json())
+        for lu in doc["lu_classes"]:
+            values = cat3_all.singular_values[min(lu["members"])]
+            assert lu["singular_values"] == [round(v, 10) for v in values]
 
 
 class TestClassifyD2:

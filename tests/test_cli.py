@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ffe import classify, cli
+from ffe import classify, cli, verify
 from ffe.classify import lower_bound, special_function
 from ffe.cli import EXIT_BUDGET, EXIT_CONFORMANCE, EXIT_INPUT, EXIT_OK, main
 from ffe.fpops import random_lfp
@@ -24,6 +24,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# JSON nested far past the interpreter's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def assert_input_error(code, out, err):
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
 
 
 class TestClassify:
@@ -131,6 +140,10 @@ class TestQuery:
     def test_malformed_function_json(self, capsys, literal):
         code, out, err = run(capsys, "query", "--d", "3", "--f", literal, "--ops", "is-poly")
         assert code == EXIT_INPUT and out == "" and "input error" in err
+
+    def test_deeply_nested_function_json(self, capsys):
+        literal = '{"d":2,"values":' + DEEP + "}"
+        assert_input_error(*run(capsys, "query", "--d", "2", "--f", literal))
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_default_ops_reject_n_other_than_2(self, capsys, n):
@@ -289,6 +302,9 @@ class TestStabilizers:
             capsys, "stabilizers", "--d", "3", "--f", "x*y", "--cycles", cycles,
         )
         assert code == EXIT_INPUT and out == "" and "input error" in err
+
+    def test_deeply_nested_cycles(self, capsys):
+        assert_input_error(*run(capsys, "stabilizers", "--d", "3", "--f", "x*y", "--cycles", DEEP))
 
     @pytest.mark.parametrize("d", [5, 12])
     def test_four_sites_unique(self, capsys, d):
@@ -459,15 +475,32 @@ class TestVerifyAppendix:
             {"classes": [{"index": 0, "singular_values": [1.0], "members": [{"matrix": [0, 0, 0]}]}]},
             {"classes": [{"index": 0, "singular_values": [1.0], "members": [{"polynomial": 0}]}]},
             {"classes": [{"index": 0, "singular_values": ["1"], "members": [{}]}]},
+            # ragged rows of nine entries, which would flatten to a 3 x 3 matrix
+            {"classes": [{"index": 0, "singular_values": [1.0],
+                          "members": [{"matrix": [[0, 0, 0, 0], [0, 0], [0, 0, 0]]}]}]},
             "not json",
         ],
     )
     def test_malformed_fixture(self, capsys, tmp_path, d, fixture):
         path = tmp_path / "fixture.json"
         path.write_text(fixture if isinstance(fixture, str) else json.dumps(fixture))
-        code, out, err = run(capsys, "verify-appendix", "--d", str(d), "--fixtures", str(path))
-        assert code == EXIT_INPUT and out == ""
-        assert err.startswith("input error:") and len(err.splitlines()) == 1
+        assert_input_error(*run(capsys, "verify-appendix", "--d", str(d), "--fixtures", str(path)))
+
+    def test_deeply_nested_fixture(self, capsys, tmp_path):
+        path = tmp_path / "fixture.json"
+        path.write_text('{"classes": ' + DEEP + "}")
+        assert_input_error(*run(capsys, "verify-appendix", "--d", "3", "--fixtures", str(path)))
+
+    def test_fifo_fixture(self, capsys, tmp_path):
+        # opening a FIFO for reading would block until a writer opens it
+        path = tmp_path / "fixture.fifo"
+        os.mkfifo(path)
+        assert_input_error(*run(capsys, "verify-appendix", "--d", "3", "--fixtures", str(path)))
+
+    def test_oversized_fixture(self, capsys, tmp_path):
+        path = tmp_path / "fixture.json"
+        path.write_bytes(b" " * (verify.MAX_FIXTURE_BYTES + 1))
+        assert_input_error(*run(capsys, "verify-appendix", "--d", "3", "--fixtures", str(path)))
 
     def test_fixture_directory(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify-appendix", "--d", "3", "--fixtures", str(tmp_path))
