@@ -4,7 +4,7 @@ verification.
 
 Exit codes: 0 success, 1 input error (usage errors included), 2 budget
 exceeded, 3 conformance mismatch.  Standard output is machine-parseable;
-errors go to stderr.
+errors go to stderr, each cut to MAX_MESSAGE characters.
 """
 from __future__ import annotations
 
@@ -26,6 +26,12 @@ EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_CONFORMANCE = 3
 
+# The most characters of an error message printed.  A longer message, which
+# echoes a long input, is cut there and ends with its length, so no error
+# line passes MAX_ERROR_LINE characters.
+MAX_MESSAGE = 300
+MAX_ERROR_LINE = 400
+
 _NAMED = {
     "s6": ("s6_fixture", 6),
     "f32": ("f32_fixture", 6),
@@ -33,6 +39,22 @@ _NAMED = {
     "h4": ("h4", 4),
     "fourier": ("fourier", None),
 }
+
+
+def _clip(message):
+    """str(message), cut to MAX_MESSAGE characters and its length if longer."""
+    message = str(message)
+    if len(message) <= MAX_MESSAGE:
+        return message
+    return f"{message[:MAX_MESSAGE]}... ({len(message)} characters)"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are clipped like the others; its
+    subparsers are of the same class."""
+
+    def error(self, message):
+        super().error(_clip(message))
 
 
 def parse_function_literal(text, d):
@@ -163,7 +185,7 @@ def cmd_verify_appendix(args):
     try:
         report = verify.verify_appendix(args.d, args.fixtures)
     except FileNotFoundError as exc:
-        print(f"fixture missing: {exc}", file=sys.stderr)
+        print(f"fixture missing: {_clip(exc)}", file=sys.stderr)
         return EXIT_INPUT
     failed = [c["check"] for c in report["checks"] if not c["ok"]]
     total = len(report["checks"])
@@ -176,7 +198,7 @@ def cmd_verify_appendix(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ffe",
         description="Finite-function-encoded states: classification and exact invariants",
     )
@@ -243,14 +265,14 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (BudgetError, EnumerationTooLarge) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        print(f"budget exceeded: {_clip(exc)}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         # ArityError, PermutationError, PolynomialParseError and malformed
         # JSON are all ValueErrors; the budget errors above are too, so
         # they must be caught first.  An OSError is a --out or --fixtures
         # path that cannot be written or read.
-        print(f"input error: {exc}", file=sys.stderr)
+        print(f"input error: {_clip(exc)}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -190,9 +190,25 @@ class Polynomial:
         return f"Polynomial(d={self.d}, n={self.n}, {self.to_text()!r})"
 
 
+def _decimal_value(digits, modulus=None):
+    """The number a string of decimal digits spells, mod modulus if given.
+    It is read in chunks of 640 digits, the least limit that
+    sys.set_int_max_str_digits accepts, since int() refuses a longer string
+    (past 4300 digits by default)."""
+    value = 0
+    for start in range(0, len(digits), 640):
+        chunk = digits[start:start + 640]
+        value = value * 10 ** len(chunk) + int(chunk)
+        if modulus:
+            value %= modulus
+    return value
+
+
 def parse_polynomial(text, d, n):
     """Parse the textual grammar: terms joined by '+', factors by '*',
-    exponents with '^'; variables x,y for n<=2 else x1..xn."""
+    exponents with '^'; variables x,y for n<=2 else x1..xn.  Coefficients
+    and exponents may have any number of digits: a coefficient is read mod
+    d, an exponent exactly."""
     check_shape(d, n)
     names = {name: i for i, name in enumerate(_variable_names(n))}
     for i in range(n):
@@ -209,15 +225,15 @@ def parse_polynomial(text, d, n):
         for factor in chunk.split("*"):
             if not factor:
                 raise PolynomialParseError(f"empty factor in {chunk!r}")
-            if factor.isdigit():
-                coeff = coeff * int(factor)
+            if factor.isdecimal():
+                coeff = coeff * _decimal_value(factor, d) % d
                 continue
             name, caret, power = factor.partition("^")
             if name not in names:
                 raise PolynomialParseError(f"unknown variable {name!r}")
-            if caret and not power.isdigit():
+            if caret and not power.isdecimal():
                 raise PolynomialParseError(f"bad exponent in {factor!r}")
-            exps[names[name]] += int(power) if caret else 1
+            exps[names[name]] += _decimal_value(power) if caret else 1
         key = tuple(exps)
         terms[key] = (terms.get(key, 0) + coeff) % d
     return Polynomial(d, n, terms)

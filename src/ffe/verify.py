@@ -1,10 +1,14 @@
-"""Conformance checks of computed classifications against the transcribed
-per-class reference tables shipped in ffe/data.
+"""Conformance checks of the computed classifications against the per-class
+reference tables of the paper's appendix, shipped in ffe/data.
 
-d=3 is checked matrix-by-matrix over the full partition of the 81 dephased
-matrices; d=4 and d=6 (polynomial scope) are checked through normal-form
-polynomial membership, since those reference tables print image matrices in
-transposed orientation ("matrix_orientation": "col_row").
+The d = 3 table lists the whole partition of the 81 dephased matrices as
+image matrices.  The d = 4 and 6 tables (polynomial scope) list normal-form
+polynomials; the matrices they print are transposed and are not read.  Every
+member is placed alike: its image matrix joins one stack, one batched
+canonical-form search gives each lexmin, and the class with that lexmin as
+representative holds the member.  A class lists a normal form exactly when
+the form's dephased image lies in its orbit, so a polynomial lands in the
+class that lists its normal form.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .classify import _as_array, _canonical_forms, classify_lfp, classify_lu
-from .polynomials import is_polynomial, parse_polynomial
+from .polynomials import parse_polynomial
 from .ring import FiniteFunction
 
 SV_TOLERANCE = 1e-4
@@ -92,105 +96,81 @@ def _sv_match(computed, listed):
     return all(abs(a - b) <= SV_TOLERANCE for a, b in zip(computed, listed))
 
 
+def _report(d, checks, **extra):
+    """The report of a run from its (name, ok) checks, in order."""
+    checks = [{"check": name, "ok": bool(ok)} for name, ok in checks]
+    return {"d": d, "checks": checks, "ok": all(c["ok"] for c in checks), **extra}
+
+
+def _place(cat, fixture, function):
+    """The computed class id of every listed member, one list per listed
+    class, with None for a member in no computed class; function(member) is
+    the member's FiniteFunction."""
+    rep_to_id = {rec.representative: rec.lfp_class_id for rec in cat.orbits}
+    listed = [_as_array(function(m)) for cls in fixture["classes"] for m in cls["members"]]
+    ids = iter([rep_to_id.get(best) for best, _ in _canonical_forms(np.stack(listed))])
+    return [[next(ids) for _ in cls["members"]] for cls in fixture["classes"]]
+
+
 def verify_d3(fixture=None):
     """Full-partition check of the d=3 classification against the listings."""
     fixture = fixture or load_fixture(3)
     cat = classify_lu(classify_lfp(3, "all"))
-    report = {"d": 3, "checks": [], "ok": True}
-
-    def check(name, ok):
-        report["checks"].append({"check": name, "ok": bool(ok)})
-        if not ok:
-            report["ok"] = False
-
-    check("class_count", len(cat.orbits) == len(fixture["classes"]))
-    rep_to_id = {rec.representative: rec.lfp_class_id for rec in cat.orbits}
-    listed = [
-        _as_array(FiniteFunction.from_matrix(3, member["matrix"]))
-        for cls in fixture["classes"]
-        for member in cls["members"]
-    ]
-    # one batched canonical-form search for every listed matrix
-    bests = iter([best for best, _ in _canonical_forms(np.stack(listed))])
+    checks = [("class_count", len(cat.orbits) == len(fixture["classes"]))]
+    # every 3 x 3 matrix lies in a class of the full partition, so no id is None
+    placed = _place(cat, fixture, lambda m: FiniteFunction.from_matrix(3, m["matrix"]))
     seen_ids = set()
-    for cls in fixture["classes"]:
-        members = cls["members"]
-        ids = {rep_to_id[next(bests)] for _ in members}
-        label = f"class_{cls['index']}"
-        check(f"{label}_single_orbit", len(ids) == 1)
+    for cls, ids in zip(fixture["classes"], placed):
+        label, ids = f"class_{cls['index']}", set(ids)
+        checks.append((f"{label}_single_orbit", len(ids) == 1))
         cid = ids.pop()
-        check(f"{label}_distinct", cid not in seen_ids)
+        checks += [
+            (f"{label}_distinct", cid not in seen_ids),
+            (f"{label}_size", cat.orbits[cid].orbit_size == len(cls["members"])),
+            (f"{label}_singular_values",
+             _sv_match(cat.singular_values[cid], cls["singular_values"])),
+        ]
         seen_ids.add(cid)
-        check(f"{label}_size", cat.orbits[cid].orbit_size == len(members))
-        check(
-            f"{label}_singular_values",
-            _sv_match(cat.singular_values[cid], cls["singular_values"]),
-        )
-    check("partition_total", sum(r.orbit_size for r in cat.orbits) == 81)
-    check("lu_count", len(cat.lu_classes) == 6)
-    return report
+    checks += [
+        ("partition_total", sum(r.orbit_size for r in cat.orbits) == 81),
+        ("lu_count", len(cat.lu_classes) == 6),
+    ]
+    return _report(3, checks)
 
 
 def verify_teh(d, fixture=None):
-    """Membership + singular-value check of a polynomial-scope classification."""
+    """Membership and singular-value check of a polynomial-scope classification."""
     fixture = fixture or load_fixture(d)
     cat = classify_lu(classify_lfp(d, "teh"))
-    report = {"d": d, "checks": [], "ok": True}
-    if d in KNOWN_DISCREPANCIES:
-        report["note"] = KNOWN_DISCREPANCIES[d]
-
-    def check(name, ok):
-        report["checks"].append({"check": name, "ok": bool(ok)})
-        if not ok:
-            report["ok"] = False
-
-    check("class_count", len(cat.orbits) == EXPECTED_TEH_CLASS_COUNTS[d])
-    text_to_id = {}
-    for rec in cat.orbits:
-        for text in rec.polynomial_reps:
-            text_to_id[text] = rec.lfp_class_id
+    checks = [("class_count", len(cat.orbits) == EXPECTED_TEH_CLASS_COUNTS[d])]
+    placed = _place(cat, fixture, lambda m: parse_polynomial(m["polynomial"], d, 2).to_function())
     listings_by_id = {}
-    for cls in fixture["classes"]:
-        label = f"class_{cls['index']}"
-        ids = set()
-        missing = False
-        for member in cls["members"]:
-            poly = parse_polynomial(member["polynomial"], d, 2)
-            normal = is_polynomial(poly.to_function())
-            text = normal.constant_free().to_text()
-            if text not in text_to_id:
-                missing = True
-            else:
-                ids.add(text_to_id[text])
-        check(f"{label}_members_found", not missing)
-        check(f"{label}_single_orbit", len(ids) == 1)
-        if len(ids) == 1:
-            cid = ids.pop()
+    for cls, ids in zip(fixture["classes"], placed):
+        label, found = f"class_{cls['index']}", set(ids) - {None}
+        checks.append((f"{label}_members_found", None not in ids))
+        checks.append((f"{label}_single_orbit", len(found) == 1))
+        if len(found) == 1:
+            cid = found.pop()
             listings_by_id.setdefault(cid, []).append(cls)
-            check(
-                f"{label}_singular_values",
-                _sv_match(cat.singular_values[cid], cls["singular_values"]),
-            )
-    check("listing_covers_all_classes", len(listings_by_id) == len(cat.orbits))
+            sv_ok = _sv_match(cat.singular_values[cid], cls["singular_values"])
+            checks.append((f"{label}_singular_values", sv_ok))
     # listed classes that land in the same computed class must agree with
     # each other (they are transpose-pair duplicates, not contradictions)
     merged_ok = all(
         _sv_match(group[0]["singular_values"], cls["singular_values"])
-        for group in listings_by_id.values()
-        for cls in group[1:]
+        for group in listings_by_id.values() for cls in group[1:]
     )
-    check("merged_listings_consistent", merged_ok)
-    report["merged_listing_pairs"] = sum(
-        len(group) - 1 for group in listings_by_id.values()
-    )
-    check("lu_count", len(cat.lu_classes) == EXPECTED_TEH_LU_COUNTS[d])
-    return report
+    checks += [
+        ("listing_covers_all_classes", len(listings_by_id) == len(cat.orbits)),
+        ("merged_listings_consistent", merged_ok),
+        ("lu_count", len(cat.lu_classes) == EXPECTED_TEH_LU_COUNTS[d]),
+    ]
+    pairs = sum(len(group) - 1 for group in listings_by_id.values())
+    return _report(d, checks, note=KNOWN_DISCREPANCIES[d], merged_listing_pairs=pairs)
 
 
 def verify_appendix(d, path=None):
     if d not in FIXTURE_FILES:
         raise ValueError(f"no reference tables for d={d}")
     fixture = load_fixture(d, path)
-    if d == 3:
-        return verify_d3(fixture)
-    return verify_teh(d, fixture)
+    return verify_d3(fixture) if d == 3 else verify_teh(d, fixture)

@@ -367,6 +367,54 @@ class TestLowerBound:
         assert code == EXIT_INPUT and out == "" and "outside supported range" in err
 
 
+class TestErrorBound:
+    """A message that echoes a long input is cut, and ends with its length."""
+
+    @pytest.mark.parametrize("argv,head,length", [
+        (["stabilizers", "--d", "3", "--f", "x*y", "--cycles", json.dumps([[0] * 50_000])],
+         "input error: not a permutation of range(3): (0, 0, 0, ", 150_031),
+        (["query", "--d", "3", "--f", "x" + "^2" * 2000],
+         "input error: bad exponent in 'x^2^2^2", 4_019),
+        (["query", "--d", "3", "--f", "x*y", "--ops", "a" * 100_000],
+         "input error: unknown query op 'aaa", 100_019),
+        (["query", "--d", "3", "--f", "z" * 100_000],
+         "input error: unknown variable 'zzz", 100_019),
+        (["query", "--d", "9" * 100_000, "--f", "x"],
+         "ffe query: error: argument --d: invalid int value: '999", 100_035),
+    ], ids=["cycle", "carets", "query-op", "variable", "usage-int"])
+    def test_long_message_cut(self, capsys, argv, head, length):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT and out == ""
+        line = err.splitlines()[-1]
+        assert line.startswith(head) and line.endswith(f"... ({length} characters)")
+        assert len(line) <= cli.MAX_ERROR_LINE
+
+
+class TestLongDigits:
+    """Numbers in polynomial text past Python's 4,300-digit int() limit."""
+
+    NINES = "9" * 100_000  # 3 mod 4
+
+    def test_long_coefficient(self, capsys):
+        code, out, err = run(capsys, "query", "--d", "4", "--f", self.NINES + "*x*y")
+        assert code == EXIT_OK and err == ""
+        assert out == run(capsys, "query", "--d", "4", "--f", "3*x*y")[1]
+
+    def test_long_exponent(self, capsys):
+        # x^e is x^3 over Z_4 for every odd e >= 3
+        code, out, err = run(capsys, "query", "--d", "4", "--f", "x^" + "1" * 5000 + "*y")
+        assert code == EXIT_OK and err == ""
+        assert out == run(capsys, "query", "--d", "4", "--f", "x^3*y")[1]
+
+    @pytest.mark.parametrize("mode", ["lfp", "lu"])
+    @pytest.mark.parametrize("f,answer", [("3*x*y", "equivalent"), ("2*x*y", "inequivalent")])
+    def test_long_coefficient_in_equiv(self, capsys, mode, f, answer):
+        code, out, err = run(
+            capsys, "equiv", "--d", "4", "--f", f, "--g", self.NINES + "*x*y", "--mode", mode,
+        )
+        assert code == EXIT_OK and err == "" and out.split(" (")[0] == answer
+
+
 class TestJsonLiteralD:
     LITERAL = '{"d":3,"n":2,"values":[[0,1,2],[1,2,0],[2,0,1]]}'
 
@@ -454,7 +502,49 @@ class TestSharedParser:
             assert [shared[tuple(argv)] for argv in self.ARGVS] == fresh
 
 
+def _moved(classes):
+    # the last member of listed class 1 joins listed class 2
+    classes[2]["members"].append(classes[1]["members"].pop())
+
+
+def _shifted(classes):
+    classes[1]["singular_values"][0] += 0.01
+
+
+def _dropped(classes):
+    del classes[1]
+
+
+D4_NOTE = (
+    "note: summary text says 15 polynomial-scope classes; the per-class listing "
+    "has 17, which the computation reproduces"
+)
+
+
 class TestVerifyAppendix:
+    @pytest.mark.parametrize("d,perturb,lines", [
+        (3, _moved, ["d=3 conformance checks: 35/39 passed", "MISMATCH: class_1_size",
+                     "MISMATCH: class_2_single_orbit", "MISMATCH: class_2_distinct",
+                     "MISMATCH: class_2_size"]),
+        (3, _shifted, ["d=3 conformance checks: 38/39 passed",
+                       "MISMATCH: class_1_singular_values"]),
+        (3, _dropped, ["d=3 conformance checks: 34/35 passed", "MISMATCH: class_count"]),
+        (4, _moved, ["d=4 conformance checks: 52/54 passed", D4_NOTE,
+                     "MISMATCH: class_2_single_orbit", "MISMATCH: listing_covers_all_classes"]),
+        (4, _shifted, ["d=4 conformance checks: 54/55 passed", D4_NOTE,
+                       "MISMATCH: class_1_singular_values"]),
+        (4, _dropped, ["d=4 conformance checks: 51/52 passed", D4_NOTE,
+                       "MISMATCH: listing_covers_all_classes"]),
+    ], ids=["d3-moved", "d3-shifted", "d3-dropped", "d4-moved", "d4-shifted", "d4-dropped"])
+    def test_mismatch_exits_3(self, capsys, tmp_path, d, perturb, lines):
+        data = verify.load_fixture(d)
+        perturb(data["classes"])
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify-appendix", "--d", str(d), "--fixtures", str(path))
+        assert code == EXIT_CONFORMANCE and err == ""
+        assert out.splitlines() == lines
+
     def test_d3_conformance(self, capsys):
         code, out, _ = run(capsys, "verify-appendix", "--d", "3")
         assert code == EXIT_OK

@@ -145,6 +145,18 @@ class TestParse:
             with pytest.raises(PolynomialParseError):
                 parse_polynomial(bad, 3, 2)
 
+    def test_numbers_past_the_int_digit_limit(self):
+        # int() refuses more than 4300 digits; a coefficient is read mod d
+        # and an exponent exactly
+        p = parse_polynomial("9" * 5000 + "*x + x^" + "1" * 5000, 7, 1)
+        assert p.terms == {(1,): (pow(10, 5000, 7) - 1) % 7, ((10**5000 - 1) // 9,): 1}
+
+    def test_non_decimal_digits_are_not_numbers(self):
+        # '²' is a digit to str.isdigit, but int() does not read it
+        for bad in ["2²*x", "x^²"]:
+            with pytest.raises(PolynomialParseError):
+                parse_polynomial(bad, 3, 1)
+
     @pytest.mark.parametrize("d, n", [(0, 2), (1, 2), (-2, 2), (13, 2), (3, 0), (3, 5)])
     def test_shape_checked_before_parsing(self, d, n):
         # the shape is checked before any coefficient is reduced mod d

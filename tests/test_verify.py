@@ -1,6 +1,7 @@
 """Conformance of computed classifications with the packaged reference tables."""
 import pytest
 
+from ffe import verify
 from ffe.verify import load_fixture, verify_appendix
 
 
@@ -33,3 +34,18 @@ def test_unknown_d_rejected():
 def test_missing_fixture_path():
     with pytest.raises(FileNotFoundError):
         verify_appendix(3, path="/nonexistent/fixture.json")
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_one_canonical_form_search_per_run(monkeypatch, d):
+    # every listed member, matrix or polynomial, is placed from one stack
+    stacks = []
+
+    def counted(mats):
+        stacks.append(len(mats))
+        return canonical_forms(mats)
+
+    canonical_forms = verify._canonical_forms
+    monkeypatch.setattr(verify, "_canonical_forms", counted)
+    assert verify_appendix(d)["ok"]
+    assert stacks == [sum(len(c["members"]) for c in load_fixture(d)["classes"])]
