@@ -20,8 +20,8 @@ signature of the Gram matrix of a representative.
 
 A Catalogue holds the classes.  Its immutable records keep what the
 searches found: an LFP class's id, representative key, orbit size and
-polynomial texts, an LU class's id and members.  What derives from the
-representatives is a catalogue column (see Catalogue).
+polynomial index keys, an LU class's id and members.  What derives from
+them, polynomial texts too, is a catalogue column (see Catalogue).
 """
 from __future__ import annotations
 
@@ -231,11 +231,11 @@ class OrbitRecord(NamedTuple):
     lfp_class_id: int
     representative: bytes
     orbit_size: int
-    polynomial_reps: list
+    polynomial_keys: tuple
 
     @property
     def contains_polynomial(self):
-        return bool(self.polynomial_reps)
+        return bool(self.polynomial_keys)
 
 
 class LUClassRecord(NamedTuple):
@@ -247,8 +247,9 @@ class Catalogue:
     """The LFP classes of a scope, in id order, and their LU classes.
 
     images, the (N, d, d) uint8 stack of the representatives, is built with
-    the catalogue; the columns singular_values and fingerprints are computed
-    from it once, on first use.  An LU class has its least member's values.
+    the catalogue.  The columns singular_values and fingerprints come from
+    it, polynomials (sorted normal-form texts) from the polynomial keys, each
+    once, on first use.  An LU class has its least member's values.
     """
 
     def __init__(self, d, scope, orbits, lu_classes=None, provenance=None):
@@ -269,19 +270,23 @@ class Catalogue:
 
     @functools.cached_property
     def fingerprints(self):
-        return [invariants_fingerprint(key_to_function(self.d, rec.representative))
-                for rec in self.orbits]
+        return _fingerprint_stack(self.images)
+
+    @functools.cached_property
+    def polynomials(self):
+        index = dephased_polynomial_index(self.d)
+        return [sorted(t for key in rec.polynomial_keys for t in index[key]) for rec in self.orbits]
 
     def to_json(self):
         classes, sv = [], self.singular_values
-        columns = zip(self.orbits, self.images.tolist(), self.fingerprints, sv)
-        for rec, rep, (it, rowsig, colsig, haag), values in columns:
+        columns = zip(self.orbits, self.images.tolist(), self.fingerprints, sv, self.polynomials)
+        for rec, rep, (it, rowsig, colsig, haag), values, texts in columns:
             entry = {
                 "id": rec.lfp_class_id,
                 "representative": rep,
                 "orbit_size": rec.orbit_size,
                 "contains_polynomial": rec.contains_polynomial,
-                "polynomials": rec.polynomial_reps,
+                "polynomials": texts,
                 "I_t": it,
                 "row_signature": list(rowsig),
                 "col_signature": list(colsig),
@@ -368,13 +373,24 @@ def haagerup_histogram(f):
     return tuple(int(v) for v in np.bincount(t.ravel(), minlength=d))
 
 
+def _fingerprint_stack(mats):
+    """invariants_fingerprint of each of an (N, d, d) stack of image matrices."""
+    n, d, _ = mats.shape
+    m = mats.astype(np.int8)  # each Haagerup term lies in (-2d, 2d), in int8 at d <= 12
+    r = m[:, :, :, None] - m[:, :, None, :]  # (k, a, b, e)
+    t = ((r[:, :, None] - r[:, None]) % d).reshape(n, -1)
+    haagerup = np.stack([np.count_nonzero(t == v, axis=1) for v in range(d)], axis=1)
+    # the count of each value among the row (column) sums, sorted, zeros first
+    sigs = [np.sort(((m.sum(axis=a) % d)[..., None] == np.arange(d)).sum(axis=1)) for a in (2, 1)]
+    columns = m.sum(axis=(1, 2)) % d, *sigs, haagerup
+    return [(it, tuple(filter(None, rs)), tuple(filter(None, cs)), tuple(h))
+            for it, rs, cs, h in zip(*(c.tolist() for c in columns))]
+
+
 def invariants_fingerprint(f):
-    return (
-        invariant_It(f),
-        invariant_row_signature(f, 0),
-        invariant_row_signature(f, 1),
-        haagerup_histogram(f),
-    )
+    if f.n != 2:
+        raise ArityError("defined for n=2")
+    return _fingerprint_stack(_as_array(f)[None])[0]
 
 
 def lower_bound(d, n):
@@ -385,6 +401,15 @@ def lower_bound(d, n):
     return -(-num // den)
 
 
+def _polynomial_keys(d):
+    """The keys of dephased_polynomial_index in its order: the (K, d, d) uint8
+    images of the mixed-only normal forms, one per row of mixed coefficients."""
+    monomials, choices, images = normal_form_basis(d, 2)
+    mixed = [k for k, e in enumerate(monomials) if all(e)]
+    rows = np.array(list(itertools.product(*[choices[k] for k in mixed])), dtype=np.int64)
+    return (rows @ images[mixed] % d).astype(np.uint8).reshape(-1, d, d)
+
+
 def dephased_polynomial_index(d):
     """Map byte key of each dephased polynomial image -> sorted normal forms.
 
@@ -393,14 +418,12 @@ def dephased_polynomial_index(d):
     parts, so the keys are the distinct images of the mixed-only forms, and
     each key lists its mixed form with every univariate coefficient choice.
     """
-    monomials, choices, images = normal_form_basis(d, 2)
+    monomials, choices, _ = normal_form_basis(d, 2)
     order = sorted(range(1, len(monomials)), key=lambda k: _text_order(monomials[k]))
-    mixed = [k for k in order if all(monomials[k])]
+    mixed = [k for k, e in enumerate(monomials) if all(e)]
     terms = [[_term_text(("x", "y"), e, c) if c else "" for c in range(d)] for e in monomials]
-    rows = list(itertools.product(*[choices[k] for k in mixed]))
-    keys = (np.array(rows, dtype=np.int64) @ images[mixed] % d).astype(np.uint8)
     index = {}
-    for key, row in zip(keys, rows):
+    for key, row in zip(_polynomial_keys(d), itertools.product(*[choices[k] for k in mixed])):
         fixed = dict(zip(mixed, row))
         texts = [""]
         for k in order:
@@ -452,8 +475,8 @@ def classify_lfp(d, scope="all", threads=None):
     """Partition the scope into LFP orbits (Catalogue without LU grouping).
 
     scope="all": every dephased matrix (budget d^((d-1)^2) <= 10^7).
-    scope="teh": orbits seeded from dephased polynomial images; classes are
-    additionally annotated with every normal-form polynomial they contain.
+    scope="teh": orbits seeded from dephased polynomial images.  Every class
+    keeps the index keys it holds; Catalogue.polynomials lists their texts.
     threads is accepted for compatibility and has no effect.
     """
     check_shape(d, 2)
@@ -464,25 +487,21 @@ def classify_lfp(d, scope="all", threads=None):
         raise BudgetError(
             f"scope=all at d={d} needs {d ** ((d - 1) ** 2)} matrices > {ALL_SCOPE_BUDGET}"
         )
-    poly_index = dephased_polynomial_index(d)
-    index_mats = np.frombuffer(b"".join(poly_index), dtype=np.uint8).reshape(-1, d, d)
+    index_mats = _polynomial_keys(d)
     if scope == "all":
         seed_count = d ** ((d - 1) ** 2)
         forms, orbit_of = _close_orbits(d, index_mats)
     else:
         # the index keys fall into orbits by canonical form; the polynomial
         # enumeration budget leaves at most 162 keys (d = 6) to search
-        seed_count = len(poly_index)
+        seed_count = len(index_mats)
         held = _canonical_forms(index_mats)
         forms = sorted(set(held))
-        orbit_of = [forms.index(form) for form in held]
-    texts = [[] for _ in forms]
-    for orbit, listed in zip(orbit_of, poly_index.values()):
-        texts[orbit] += listed
-    orbits = [
-        OrbitRecord(cid, best, size, sorted(listed))
-        for cid, ((best, size), listed) in enumerate(zip(forms, texts))
-    ]
+        orbit_of = list(map({form: i for i, form in enumerate(forms)}.get, held))
+    keys = [[] for _ in forms]
+    for orbit, mat in zip(orbit_of, index_mats):
+        keys[orbit].append(mat.tobytes())
+    orbits = [OrbitRecord(cid, *form, tuple(k)) for cid, (form, k) in enumerate(zip(forms, keys))]
     provenance = {
         "seed_count": seed_count,
         "runtime_seconds": round(time.time() - start, 3),

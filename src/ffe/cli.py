@@ -19,7 +19,7 @@ from . import classify as classify_mod
 from . import linalg, polynomials, stabilizer, verify
 from .classify import BudgetError, classify_lfp, classify_lu, special_function
 from .polynomials import EnumerationTooLarge
-from .ring import ArityError, check_shape, parse_function
+from .ring import ArityError, check_shape, parse_function, read_json
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -135,10 +135,7 @@ def cmd_equiv(args):
 def _parse_cycles(spec, d, n):
     if spec is None:
         return stabilizer.CycleSpec.plus_cycles(d, n)
-    try:
-        return stabilizer.CycleSpec(d, json.loads(spec))
-    except RecursionError:
-        raise ArityError("--cycles JSON is nested too deeply") from None
+    return stabilizer.CycleSpec(d, read_json(spec, "--cycles JSON"))
 
 
 def cmd_stabilizers(args):

@@ -229,14 +229,28 @@ def compose_index_maps(outer, inner):
     return tuple(outer[inner[i]] for i in range(len(outer)))
 
 
+def read_json(text, what):
+    """json.loads(text).  JSON nested too deeply, or holding an integer past
+    the interpreter's int-to-str digit limit, raises an ArityError naming
+    what; a JSONDecodeError passes through."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise ArityError(f"{what} is nested too deeply") from None
+    except ValueError:  # the only other ValueError json.loads raises
+        import sys
+        limit = sys.get_int_max_str_digits()
+        raise ArityError(f"{what} holds an integer of more than {limit} digits") from None
+
+
 def parse_function(text):
     """Parse the JSON function format (nested or flat values)."""
     try:
-        return function_from_json(json.loads(text))
+        return function_from_json(read_json(text, "function JSON"))
     except json.JSONDecodeError as exc:
         raise ArityError(f"malformed function JSON: {exc}") from exc
-    except RecursionError:
-        raise ArityError("function JSON is nested too deeply") from None
 
 
 def function_from_json(obj):
@@ -249,23 +263,17 @@ def function_from_json(obj):
     if not isinstance(values, list):
         raise ArityError("'values' in function JSON must be a list")
     if values and isinstance(values[0], list):
-        flat = []
         n = 0
         probe = values
         while isinstance(probe, list) and probe:
             n += 1
             probe = probe[0]
-
-        def walk(v, depth):
-            if depth == n:
-                flat.append(v)
-                return
-            if not isinstance(v, list) or len(v) != d:
+        # one level at a time, so no nesting depth recurses
+        flat = [values]
+        for _ in range(n):
+            if not all(isinstance(v, list) and len(v) == d for v in flat):
                 raise ArityError("ragged nested values in function JSON")
-            for item in v:
-                walk(item, depth + 1)
-
-        walk(values, 0)
+            flat = [item for v in flat for item in v]
         if "n" in obj and obj["n"] != n:
             raise ArityError(f"explicit n={obj['n']} does not match nesting depth {n}")
     else:

@@ -12,7 +12,6 @@ class that lists its normal form.
 """
 from __future__ import annotations
 
-import json
 import os
 import stat
 from importlib import resources
@@ -21,7 +20,7 @@ import numpy as np
 
 from .classify import _as_array, _canonical_forms, classify_lfp, classify_lu
 from .polynomials import parse_polynomial
-from .ring import FiniteFunction
+from .ring import FiniteFunction, read_json
 
 SV_TOLERANCE = 1e-4
 # the largest --fixtures file read; the packaged tables are 19-91 KB
@@ -82,10 +81,7 @@ def load_fixture(d, path=None):
             )
         with open(path) as fh:
             text = fh.read()
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        raise ValueError(f"fixture for d={d} is nested too deeply") from None
+    data = read_json(text, f"fixture for d={d}")
     if not _well_formed(d, data) or not data["classes"]:
         raise ValueError(f"fixture for d={d} is empty or malformed")
     return data

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from ffe import classify
+from ffe import classify, cli
 from ffe.classify import (
     BudgetError,
     LUClassRecord,
@@ -133,7 +133,8 @@ def closure_by_seed(d):
 
 
 def closed_orbits(d):
-    return [(r.representative, r.orbit_size, r.polynomial_reps) for r in classify_lfp(d).orbits]
+    cat = classify_lfp(d)
+    return [(r.representative, r.orbit_size, texts) for r, texts in zip(cat.orbits, cat.polynomials)]
 
 
 class TestCloseOrbits:
@@ -394,7 +395,7 @@ class TestCatalogueColumns:
     CATALOGUES = ["cat3_all", "cat4_full", "cat4_teh", "cat6_teh"]
 
     def test_columns_computed_once(self, monkeypatch):
-        calls = {"singular_values_stack": 0, "invariants_fingerprint": 0}
+        calls = {"singular_values_stack": 0, "_fingerprint_stack": 0, "dephased_polynomial_index": 0}
 
         def counted(name):
             fn = getattr(classify, name)
@@ -404,19 +405,20 @@ class TestCatalogueColumns:
                 return fn(*args)
             monkeypatch.setattr(classify, name, wrapper)
 
-        counted("singular_values_stack")
-        counted("invariants_fingerprint")
+        for name in calls:
+            counted(name)
         cat = classify_lu(classify_lfp(3, "all"))
-        assert calls == {"singular_values_stack": 0, "invariants_fingerprint": 0}
+        assert set(calls.values()) == {0}
         cat.to_json()
         cat.to_csv()
         cat.to_json()
-        assert calls == {"singular_values_stack": 1, "invariants_fingerprint": len(cat.orbits)}
+        assert set(calls.values()) == {1}
         # verify reads the singular values of its own catalogue, never the
-        # fingerprints
-        calls.update(singular_values_stack=0, invariants_fingerprint=0)
+        # fingerprints or the polynomial texts
+        calls.update(dict.fromkeys(calls, 0))
         assert verify_appendix(3)["ok"]
-        assert calls == {"singular_values_stack": 1, "invariants_fingerprint": 0}
+        assert calls == {"singular_values_stack": 1, "_fingerprint_stack": 0,
+                         "dephased_polynomial_index": 0}
 
     @pytest.mark.parametrize("name", CATALOGUES)
     def test_columns_match_representatives(self, request, name):
@@ -431,14 +433,41 @@ class TestCatalogueColumns:
     @pytest.mark.parametrize("name", CATALOGUES)
     def test_contains_polynomial_is_derived(self, request, name):
         cat = request.getfixturevalue(name)
-        for rec in cat.orbits:
-            assert rec.contains_polynomial == bool(rec.polynomial_reps)
+        for rec, texts in zip(cat.orbits, cat.polynomials):
+            assert rec.contains_polynomial == bool(rec.polynomial_keys) == bool(texts)
         with pytest.raises(AttributeError):
             cat.orbits[0].contains_polynomial = False
 
+    @pytest.mark.parametrize("name", CATALOGUES)
+    def test_polynomials_from_keys(self, request, name):
+        # each class lists the texts of the index keys it holds, sorted
+        cat = request.getfixturevalue(name)
+        index = dephased_polynomial_index(cat.d)
+        held = [key for rec in cat.orbits for key in rec.polynomial_keys]
+        assert sorted(held) == sorted(index)
+        for rec, texts in zip(cat.orbits, cat.polynomials):
+            assert texts == sorted(t for key in rec.polynomial_keys for t in index[key])
+            assert all(classify.lfp_canonical(np.frombuffer(key, dtype=np.uint8), cat.d)[0]
+                       == rec.representative for key in rec.polynomial_keys)
+
+    def test_no_polynomial_text_without_json(self, monkeypatch, tmp_path, capsys):
+        # verify-appendix, and classify without a JSON --out, never list a
+        # polynomial text
+        def no_index(d):
+            raise AssertionError("the polynomial texts were built")
+
+        monkeypatch.setattr(classify, "dephased_polynomial_index", no_index)
+        for d in (3, 4, 6):
+            assert verify_appendix(d)["ok"]
+        out = tmp_path / "cat.csv"
+        for argv in [[], ["--format", "csv", "--out", str(out)]]:
+            assert cli.main(["classify", "--d", "4", "--scope", "teh", "--lu", *argv]) == 0
+        assert capsys.readouterr().out.startswith("d=4 scope=teh lfp_classes=17")
+        assert out.read_text().count("\n") == 18
+
     def test_records_keep_search_results_only(self, cat3_all):
         assert OrbitRecord._fields == (
-            "lfp_class_id", "representative", "orbit_size", "polynomial_reps"
+            "lfp_class_id", "representative", "orbit_size", "polynomial_keys"
         )
         assert LUClassRecord._fields == ("lu_class_id", "member_lfp_class_ids")
         with pytest.raises(AttributeError):
@@ -531,6 +560,33 @@ class TestInvariants:
             assert invariant_row_signature(g, 0) == base[1]
             assert invariant_row_signature(g, 1) == base[2]
             assert haagerup_histogram(g) == base[3]
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_fingerprint_stack_matches_per_state(self, d):
+        # random states, states of few values (repeated row and column sums)
+        # and the zero state, as one stack
+        rng = np.random.default_rng(d)
+        mats = np.concatenate([
+            rng.integers(0, d, (6, d, d)),
+            rng.integers(0, 2, (6, d, d)) * (d // 2),
+            np.zeros((1, d, d), dtype=np.int64),
+        ]).astype(np.uint8)
+        stack = classify._fingerprint_stack(mats)
+        assert len(stack) == len(mats)
+        for mat, got in zip(mats, stack):
+            f = FiniteFunction(d, 2, mat.ravel().tolist())
+            expected = (
+                invariant_It(f),
+                invariant_row_signature(f, 0),
+                invariant_row_signature(f, 1),
+                haagerup_histogram(f),
+            )
+            assert got == expected == invariants_fingerprint(f)
+            assert all(type(v) is int for v in (got[0], *got[1], *got[2], *got[3]))
+
+    def test_fingerprint_rejects_n_other_than_2(self):
+        with pytest.raises(ArityError):
+            invariants_fingerprint(FiniteFunction.zero(3, 3))
 
 
 class TestLowerBound:

@@ -414,6 +414,35 @@ class TestLongDigits:
         )
         assert code == EXIT_OK and err == "" and out.split(" (")[0] == answer
 
+    # json.loads refuses an integer past the int-to-str digit limit; the
+    # error names the limit, not the interpreter call that would lift it
+    LONG_INT = "1" * 5000
+
+    def assert_digit_limit_error(self, code, out, err, what):
+        assert_input_error(code, out, err)
+        limit = sys.get_int_max_str_digits()
+        assert err == f"input error: {what} holds an integer of more than {limit} digits\n"
+
+    def test_long_integer_in_function_json(self, capsys):
+        literal = '{"d":3,"n":1,"values":[' + self.LONG_INT + ",0,0]}"
+        self.assert_digit_limit_error(*run(capsys, "query", "--d", "3", "--f", literal),
+                                      "function JSON")
+
+    def test_long_integer_in_cycles(self, capsys):
+        cycles = "[[" + self.LONG_INT + "]]"
+        self.assert_digit_limit_error(
+            *run(capsys, "stabilizers", "--d", "3", "--f", "x*y", "--cycles", cycles),
+            "--cycles JSON",
+        )
+
+    def test_long_integer_in_fixture(self, capsys, tmp_path):
+        path = tmp_path / "fixture.json"
+        path.write_text('{"classes": [{"index": ' + self.LONG_INT + "}]}")
+        self.assert_digit_limit_error(
+            *run(capsys, "verify-appendix", "--d", "4", "--fixtures", str(path)),
+            "fixture for d=4",
+        )
+
 
 class TestJsonLiteralD:
     LITERAL = '{"d":3,"n":2,"values":[[0,1,2],[1,2,0],[2,0,1]]}'

@@ -1,6 +1,8 @@
 """Finite functions: indexing, modular arithmetic, composition, serialization."""
 import itertools
+import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from ffe.ring import (
     check_permutation,
     compose_index_maps,
     emit_function,
+    function_from_json,
     invert_permutation,
     parse_function,
     prime_power_factors,
+    read_json,
     site_permutation_as_global,
 )
 
@@ -278,6 +282,40 @@ class TestSerialization:
     def test_malformed_json(self):
         with pytest.raises(ArityError):
             parse_function("{not json")
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_ragged_nesting_rejected(self, d):
+        with pytest.raises(ArityError, match="ragged"):
+            parse_function(f'{{"d":{d},"values":[[[0]],[0]]}}')
+
+    def test_deep_singleton_nesting_reads_without_recursion(self):
+        # d = 1 passes every level's length check, so the values are read
+        # level by level to the bottom before the shape is checked
+        depth = 5 * sys.getrecursionlimit()
+        obj = {"d": 1, "values": 0}
+        for _ in range(depth):
+            obj["values"] = [obj["values"]]
+        with pytest.raises(ArityError, match="outside supported range"):
+            function_from_json(obj)
+
+
+class TestReadJson:
+    def test_reads_json(self):
+        assert read_json('{"a": [1, 2]}', "x") == {"a": [1, 2]}
+
+    def test_decode_error_passes_through(self):
+        with pytest.raises(json.JSONDecodeError):
+            read_json("[1,", "x")
+
+    def test_nested_too_deeply(self):
+        with pytest.raises(ArityError, match="^x is nested too deeply$"):
+            read_json("[" * 100_000 + "]" * 100_000, "x")
+
+    def test_integer_past_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ArityError, match=f"^x holds an integer of more than {limit} digits$"):
+            read_json("[" + "7" * (limit + 1) + "]", "x")
+        assert read_json("[" + "7" * limit + "]", "x")[0] % 10 == 7
 
 
 def test_prime_power_factors():
