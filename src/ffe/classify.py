@@ -401,13 +401,15 @@ def lower_bound(d, n):
     return -(-num // den)
 
 
-def _polynomial_keys(d):
-    """The keys of dephased_polynomial_index in its order: the (K, d, d) uint8
-    images of the mixed-only normal forms, one per row of mixed coefficients."""
-    monomials, choices, images = normal_form_basis(d, 2)
+def _polynomial_keys(d, basis):
+    """(keys, mixed, rows): the keys of dephased_polynomial_index in its
+    order, the (K, d, d) uint8 images of the mixed-only normal forms.  basis
+    is normal_form_basis(d, 2), mixed lists its monomials that hold x and y,
+    and each of the K rows gives their coefficients in one form."""
+    monomials, choices, images = basis
     mixed = [k for k, e in enumerate(monomials) if all(e)]
     rows = np.array(list(itertools.product(*[choices[k] for k in mixed])), dtype=np.int64)
-    return (rows @ images[mixed] % d).astype(np.uint8).reshape(-1, d, d)
+    return (rows @ images[mixed] % d).astype(np.uint8).reshape(-1, d, d), mixed, rows
 
 
 def dephased_polynomial_index(d):
@@ -418,12 +420,12 @@ def dephased_polynomial_index(d):
     parts, so the keys are the distinct images of the mixed-only forms, and
     each key lists its mixed form with every univariate coefficient choice.
     """
-    monomials, choices, _ = normal_form_basis(d, 2)
+    basis = monomials, choices, _ = normal_form_basis(d, 2)
+    keys, mixed, rows = _polynomial_keys(d, basis)
     order = sorted(range(1, len(monomials)), key=lambda k: _text_order(monomials[k]))
-    mixed = [k for k, e in enumerate(monomials) if all(e)]
     terms = [[_term_text(("x", "y"), e, c) if c else "" for c in range(d)] for e in monomials]
     index = {}
-    for key, row in zip(_polynomial_keys(d), itertools.product(*[choices[k] for k in mixed])):
+    for key, row in zip(keys, rows.tolist()):
         fixed = dict(zip(mixed, row))
         texts = [""]
         for k in order:
@@ -487,7 +489,7 @@ def classify_lfp(d, scope="all", threads=None):
         raise BudgetError(
             f"scope=all at d={d} needs {d ** ((d - 1) ** 2)} matrices > {ALL_SCOPE_BUDGET}"
         )
-    index_mats = _polynomial_keys(d)
+    index_mats = _polynomial_keys(d, normal_form_basis(d, 2))[0]
     if scope == "all":
         seed_count = d ** ((d - 1) ** 2)
         forms, orbit_of = _close_orbits(d, index_mats)

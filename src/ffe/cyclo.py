@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .ring import Value
+
 # d-th cyclotomic polynomial, ascending coefficients, monic of degree phi(d).
 CYCLOTOMIC_POLY = {
     1: (-1, 1),
@@ -81,7 +83,7 @@ def mul_coeffs(d, a, b):
     return out
 
 
-class CyclotomicInt:
+class CyclotomicInt(Value):
     """Element of Z[omega_d] as a reduced integer coefficient vector."""
 
     __slots__ = ("d", "coeffs")
@@ -91,11 +93,7 @@ class CyclotomicInt:
         coeffs = tuple(coeffs)
         if len(coeffs) != phi:
             raise ValueError(f"expected {phi} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicInt is immutable")
+        self._set(d, coeffs)
 
     @classmethod
     def zero(cls, d):
@@ -168,18 +166,6 @@ class CyclotomicInt:
         omega = cmath.exp(2j * cmath.pi / self.d)
         return sum(c * omega**j for j, c in enumerate(self.coeffs))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclotomicInt)
-            and (self.d, self.coeffs) == (other.d, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.coeffs))
-
-    def __repr__(self):
-        return f"CyclotomicInt(d={self.d}, coeffs={self.coeffs})"
-
 
 def cyclotomic_reduce(d, raw_coeffs):
     """Reduce an arbitrary-degree integer polynomial in omega_d.
@@ -193,7 +179,7 @@ def cyclotomic_reduce(d, raw_coeffs):
     return CyclotomicInt.from_exponent_counts(d, counts)
 
 
-class CyclotomicRat:
+class CyclotomicRat(Value):
     """Element of Q(omega_d): CyclotomicInt numerator over a positive int."""
 
     __slots__ = ("num", "den")
@@ -206,11 +192,7 @@ class CyclotomicRat:
         if den < 0:
             num, den = -num, -den
         g = gcd(den, *[abs(c) for c in num.coeffs]) or 1
-        object.__setattr__(self, "num", CyclotomicInt(num.d, [c // g for c in num.coeffs]))
-        object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicRat is immutable")
+        self._set(CyclotomicInt(num.d, [c // g for c in num.coeffs]), den // g)
 
     @property
     def d(self):
@@ -253,15 +235,6 @@ class CyclotomicRat:
 
     def to_complex(self):
         return self.num.to_complex() / self.den
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclotomicRat)
-            and (self.num, self.den) == (other.num, other.den)
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"CyclotomicRat({self.num!r}, {self.den})"

@@ -16,6 +16,7 @@ import numpy as np
 from .ring import (
     ArityError,
     FiniteFunction,
+    Value,
     as_int,
     as_ints,
     check_permutation,
@@ -25,19 +26,14 @@ from .ring import (
 )
 
 
-class FPElement:
+class FPElement(Value):
     """omega^phase * X_perm * Z_phase_fn acting on functions Z_d^n -> Z_d."""
 
     __slots__ = ("phase", "perm", "phase_fn")
 
     def __init__(self, phase, perm, phase_fn):
         perm = check_permutation(perm, len(phase_fn.values))
-        object.__setattr__(self, "phase", as_int(phase) % phase_fn.d)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "phase_fn", phase_fn)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FPElement is immutable")
+        self._set(as_int(phase) % phase_fn.d, perm, phase_fn)
 
     @property
     def d(self):
@@ -82,21 +78,8 @@ class FPElement:
             -self.phase, inv, -self.phase_fn.compose_global_permutation(inv)
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FPElement)
-            and (self.phase, self.perm, self.phase_fn)
-            == (other.phase, other.perm, other.phase_fn)
-        )
 
-    def __hash__(self):
-        return hash((self.phase, self.perm, self.phase_fn))
-
-    def __repr__(self):
-        return f"FPElement(phase={self.phase}, perm={self.perm}, phase_fn={self.phase_fn!r})"
-
-
-class LFPElement:
+class LFPElement(Value):
     """Local FP element: per-site permutation and single-variable phase."""
 
     __slots__ = ("d", "sites", "global_phase")
@@ -111,12 +94,7 @@ class LFPElement:
             )
             if len(parsed[-1][1]) != d:
                 raise ArityError("site phase function must have d values")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "sites", tuple(parsed))
-        object.__setattr__(self, "global_phase", as_int(global_phase) % d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LFPElement is immutable")
+        self._set(d, tuple(parsed), as_int(global_phase) % d)
 
     @property
     def n(self):
@@ -182,31 +160,14 @@ class LFPElement:
             obj.get("global_phase", 0),
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LFPElement)
-            and (self.d, self.sites, self.global_phase)
-            == (other.d, other.sites, other.global_phase)
-        )
 
-    def __hash__(self):
-        return hash((self.d, self.sites, self.global_phase))
-
-    def __repr__(self):
-        return f"LFPElement(d={self.d}, sites={self.sites}, global_phase={self.global_phase})"
-
-
-class DephasedForm:
+class DephasedForm(Value):
     """Dephased representative together with the local correction reaching it."""
 
     __slots__ = ("representative", "correction")
 
     def __init__(self, representative, correction):
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "correction", correction)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DephasedForm is immutable")
+        self._set(representative, correction)
 
 
 def dephase(f):

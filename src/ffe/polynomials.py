@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ring import ArityError, FiniteFunction, check_shape, prime_power_factors
+from .ring import ArityError, FiniteFunction, Value, check_shape, prime_power_factors
 
 ENUMERATION_BUDGET = 10**7
 
@@ -100,7 +100,7 @@ def _term_text(names, exps, coeff):
     return "*".join([str(coeff)] + factors)
 
 
-class Polynomial:
+class Polynomial(Value):
     """Polynomial over Z_d in n variables: a map monomial -> nonzero residue."""
 
     __slots__ = ("d", "n", "_terms")
@@ -115,21 +115,13 @@ class Polynomial:
             if coeff:
                 clean[exps] = (clean.get(exps, 0) + coeff) % d
         clean = {e: c for e, c in clean.items() if c}
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", tuple(sorted(clean.items())))
+        self._set(d, n, tuple(sorted(clean.items())))
 
     @classmethod
     def _of_row(cls, d, n, monomials, coeffs):
         """Unchecked constructor from a block row: lex-sorted monomials, residues."""
-        poly = object.__new__(cls)
         terms = tuple((e, c) for e, c in zip(monomials, coeffs) if c)
-        for name, value in (("d", d), ("n", n), ("_terms", terms)):
-            object.__setattr__(poly, name, value)
-        return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        return object.__new__(cls)._set(d, n, terms)
 
     @property
     def terms(self):
@@ -176,15 +168,6 @@ class Polynomial:
         names = _variable_names(self.n)
         terms = sorted(self._terms, key=lambda t: _text_order(t[0]))
         return " + ".join(_term_text(names, e, c) for e, c in terms) or "0"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and (self.d, self.n, self._terms) == (other.d, other.n, other._terms)
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.n, self._terms))
 
     def __repr__(self):
         return f"Polynomial(d={self.d}, n={self.n}, {self.to_text()!r})"
@@ -429,7 +412,7 @@ def is_polynomial(f):
     return poly
 
 
-class TensorEdgeHypergraph:
+class TensorEdgeHypergraph(Value):
     """Hypergraph with tensor-valued edges: support subset -> edge tensor.
 
     Edges are keyed by the tuple of participating sites; the edge tensor maps
@@ -451,21 +434,7 @@ class TensorEdgeHypergraph:
                 raise ArityError("edge exponents must be nonzero")
             if entries:
                 clean[support] = entries
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorEdgeHypergraph is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorEdgeHypergraph)
-            and (self.d, self.n, self.edges) == (other.d, other.n, other.edges)
-        )
-
-    def __repr__(self):
-        return f"TensorEdgeHypergraph(d={self.d}, n={self.n}, edges={self.edges})"
+        self._set(d, n, clean)
 
 
 def poly_to_teh(poly):

@@ -1,4 +1,5 @@
-"""Finite functions Z_d^n -> Z_d with exact modular arithmetic.
+"""Finite functions Z_d^n -> Z_d with exact modular arithmetic, and Value,
+the immutable value type that the package's algebraic objects share.
 
 Values are stored as least nonnegative residues in [0, d), row-major with the
 first argument slowest-varying, so the n=2 image matrix has row index x and
@@ -96,7 +97,47 @@ def prime_power_factors(d):
     return tuple(factors)
 
 
-class FiniteFunction:
+class Value:
+    """Immutable value whose fields are its subclass's __slots__.
+
+    A subclass validates its inputs and sets every field once with _set.  The
+    fields can then be neither assigned nor deleted; values compare equal
+    when their types are the same and their field tuples, in slot order, are
+    equal, and hash as that tuple.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def _set(self, *values):
+        """Set the fields, in slot order; returns self."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self))
+        )
+        return f"{type(self).__name__}({fields})"
+
+
+class FiniteFunction(Value):
     """Immutable f: Z_d^n -> Z_d backed by a flat residue table."""
 
     __slots__ = ("d", "n", "values")
@@ -106,20 +147,12 @@ class FiniteFunction:
         values = tuple(v % d for v in as_ints(values))
         if len(values) != d**n:
             raise ArityError(f"expected {d**n} values, got {len(values)}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteFunction is immutable")
+        self._set(d, n, values)
 
     @classmethod
     def _of_residues(cls, d, n, values):
         """Unchecked constructor for d^n values that are residues in [0, d)."""
-        f = object.__new__(cls)
-        for name, value in (("d", d), ("n", n), ("values", tuple(values))):
-            object.__setattr__(f, name, value)
-        return f
+        return object.__new__(cls)._set(d, n, tuple(values))
 
     @classmethod
     def zero(cls, d, n):
@@ -145,9 +178,6 @@ class FiniteFunction:
 
     def eval(self, x):
         return self.values[self.index(x)]
-
-    def points(self):
-        return itertools.product(range(self.d), repeat=self.n)
 
     def _check_shape(self, other):
         if (self.d, self.n) != (other.d, other.n):
@@ -199,18 +229,6 @@ class FiniteFunction:
 
     def as_nested(self):
         return np.reshape(self.values, (self.d,) * self.n).tolist()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteFunction)
-            and (self.d, self.n, self.values) == (other.d, other.n, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.n, self.values))
-
-    def __repr__(self):
-        return f"FiniteFunction(d={self.d}, n={self.n}, values={self.values})"
 
 
 def site_permutation_as_global(d, n, i, perm):

@@ -14,6 +14,7 @@ from .ring import (
     ArityError,
     FiniteFunction,
     PermutationError,
+    Value,
     _is_int,
     check_permutation,
     invert_permutation,
@@ -45,7 +46,7 @@ def _witness_cycle(w):
     return tuple(w_inv[(k + 1) % len(w)] for k in w)
 
 
-class CycleSpec:
+class CycleSpec(Value):
     """Per-site d-cycles, optionally with conjugation witnesses
     kappa_i = pi_i^(-1) o kappa_plus o pi_i."""
 
@@ -67,28 +68,18 @@ class CycleSpec:
                     raise PermutationError(
                         "witness does not conjugate the +1 cycle to kappa"
                     )
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "witnesses", witnesses)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycleSpec is immutable")
+        self._set(d, cycles, witnesses)
 
     @classmethod
     def plus_cycles(cls, d, n):
         return cls(d, [plus_cycle(d)] * n)
 
 
-class StabilizerSet:
+class StabilizerSet(Value):
     __slots__ = ("base", "cycles", "elements")
 
     def __init__(self, base, cycles, elements):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "elements", tuple(elements))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StabilizerSet is immutable")
+        self._set(base, cycles, tuple(elements))
 
 
 def make_stabilizer(f, perm):

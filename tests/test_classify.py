@@ -34,6 +34,7 @@ from ffe.polynomials import (
     count_polynomial_functions,
     enumerate_polynomial_functions,
     is_polynomial,
+    normal_form_basis,
     parse_polynomial,
 )
 from ffe.ring import ArityError, FiniteFunction
@@ -320,6 +321,18 @@ class TestPolynomialIndex:
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_matches_block_dephasing_oracle(self, d):
         assert dephased_polynomial_index(d) == exact_oracles.index_by_block_dephasing(d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_builds_the_basis_once(self, d, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return normal_form_basis(*args)
+
+        monkeypatch.setattr(classify, "normal_form_basis", counted)
+        dephased_polynomial_index(d)
+        assert calls == [(d, 2)]
 
     @pytest.mark.parametrize("d", [5, 8, 12])
     def test_budget(self, d):

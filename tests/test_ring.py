@@ -1,6 +1,9 @@
-"""Finite functions: indexing, modular arithmetic, composition, serialization."""
+"""Finite functions: indexing, modular arithmetic, composition, serialization;
+the shared immutable value type."""
+import ast
 import itertools
 import json
+import pathlib
 import random
 import sys
 
@@ -9,6 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffe
+from ffe.cyclo import CyclotomicInt, CyclotomicRat
+from ffe.fpops import DephasedForm, FPElement, LFPElement
+from ffe.polynomials import Polynomial, TensorEdgeHypergraph
 from ffe.ring import (
     ArityError,
     FiniteFunction,
@@ -24,6 +31,7 @@ from ffe.ring import (
     read_json,
     site_permutation_as_global,
 )
+from ffe.stabilizer import CycleSpec, StabilizerSet
 
 
 def random_function(d, n, rng):
@@ -323,3 +331,123 @@ def test_prime_power_factors():
     assert prime_power_factors(4) == ((2, 2),)
     assert prime_power_factors(12) == ((2, 2), (3, 1))
     assert prime_power_factors(7) == ((7, 1),)
+
+
+def _value_instances():
+    """(make, fields in slot order, repr), one per value class.  The reprs
+    of DephasedForm, CycleSpec and StabilizerSet are Value's default; the
+    others are those the classes printed before they shared it."""
+    f = FiniteFunction(3, 1, (0, 1, 2))
+    fp = FPElement(1, (1, 0, 2), f)
+    lfp = LFPElement(3, [((0, 1, 2), (0, 0, 0))])
+    sites = (((1, 2, 0), (0, 1, 2)), ((0, 1, 2), (2, 0, 0)))
+    return [
+        (lambda: FiniteFunction(3, 2, range(9)), (3, 2, (0, 1, 2) * 3),
+         "FiniteFunction(d=3, n=2, values=(0, 1, 2, 0, 1, 2, 0, 1, 2))"),
+        (lambda: Polynomial(3, 2, {(1, 1): 2, (2, 0): 1, (0, 0): 4}),
+         (3, 2, (((0, 0), 1), ((1, 1), 2), ((2, 0), 1))),
+         "Polynomial(d=3, n=2, '1 + 2*x*y + x^2')"),
+        (lambda: TensorEdgeHypergraph(3, 2, {(0, 1): {(1, 1): 5}}),
+         (3, 2, {(0, 1): {(1, 1): 2}}),
+         "TensorEdgeHypergraph(d=3, n=2, edges={(0, 1): {(1, 1): 2}})"),
+        (lambda: FPElement(4, (1, 0, 2), FiniteFunction(3, 1, (0, 1, 2))), (1, (1, 0, 2), f),
+         "FPElement(phase=1, perm=(1, 0, 2), "
+         "phase_fn=FiniteFunction(d=3, n=1, values=(0, 1, 2)))"),
+        (lambda: LFPElement(3, [((1, 2, 0), (0, 1, 2)), ((0, 1, 2), (2, 0, 3))], 5),
+         (3, sites, 2),
+         "LFPElement(d=3, sites=(((1, 2, 0), (0, 1, 2)), ((0, 1, 2), (2, 0, 0))), "
+         "global_phase=2)"),
+        (lambda: DephasedForm(f, lfp), (f, lfp),
+         "DephasedForm(representative=FiniteFunction(d=3, n=1, values=(0, 1, 2)), "
+         "correction=LFPElement(d=3, sites=(((0, 1, 2), (0, 0, 0)),), global_phase=0))"),
+        (lambda: CycleSpec(3, [(1, 2, 0)], [(0, 1, 2)]), (3, ((1, 2, 0),), ((0, 1, 2),)),
+         "CycleSpec(d=3, cycles=((1, 2, 0),), witnesses=((0, 1, 2),))"),
+        (lambda: StabilizerSet(f, CycleSpec(3, [(1, 2, 0)]), [fp]),
+         (f, CycleSpec(3, [(1, 2, 0)]), (fp,)),
+         "StabilizerSet(base=FiniteFunction(d=3, n=1, values=(0, 1, 2)), "
+         "cycles=CycleSpec(d=3, cycles=((1, 2, 0),), witnesses=None), "
+         "elements=(FPElement(phase=1, perm=(1, 0, 2), "
+         "phase_fn=FiniteFunction(d=3, n=1, values=(0, 1, 2))),))"),
+        (lambda: CyclotomicInt(4, (1, -2)), (4, (1, -2)),
+         "CyclotomicInt(d=4, coeffs=(1, -2))"),
+        (lambda: CyclotomicRat(CyclotomicInt(4, (2, 4)), -6),
+         (CyclotomicInt(4, (-1, -2)), 3),
+         "CyclotomicRat(CyclotomicInt(d=4, coeffs=(-1, -2)), 3)"),
+    ]
+
+
+VALUES = _value_instances()
+NAMES = [type(make()).__name__ for make, _, _ in VALUES]
+
+
+def _is_object_setattr(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+
+
+class TestValueTypes:
+    """ring.Value's policy, for each class that shares it."""
+
+    @pytest.mark.parametrize("make, fields, text", VALUES, ids=NAMES)
+    def test_fields_can_be_neither_assigned_nor_deleted(self, make, fields, text):
+        x = make()
+        message = f"^{type(x).__name__} is immutable$"
+        for slot in (*type(x).__slots__, "other"):
+            with pytest.raises(AttributeError, match=message):
+                setattr(x, slot, None)
+            with pytest.raises(AttributeError, match=message):
+                delattr(x, slot)
+        assert tuple(getattr(x, slot) for slot in type(x).__slots__) == fields
+
+    @pytest.mark.parametrize("make, fields, text", VALUES, ids=NAMES)
+    def test_equal_fields_give_equal_values(self, make, fields, text):
+        x, y = make(), make()
+        assert x is not y and x == y and not x != y
+        if isinstance(x, TensorEdgeHypergraph):  # its edges are a dict
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert hash(x) == hash(y) == hash(fields)
+
+    @pytest.mark.parametrize("make, fields, text", VALUES, ids=NAMES)
+    def test_no_equality_across_types(self, make, fields, text):
+        x = make()
+        assert x != fields and x != object()
+        assert all(x != other() for other, _, _ in VALUES if other is not make)
+
+    def test_cyclotomic_int_is_not_the_equal_rational(self):
+        one = CyclotomicInt.from_int(3, 1)
+        assert one != CyclotomicRat(one) and CyclotomicRat(one) != one
+
+    @pytest.mark.parametrize("make, fields, text", VALUES, ids=NAMES)
+    def test_repr(self, make, fields, text):
+        assert repr(make()) == text
+
+    def test_policy_is_written_once(self):
+        """Only ring.Value defines the policy and calls object.__setattr__;
+        only it, Polynomial and CyclotomicRat define __repr__."""
+        policy = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
+        bases = 0
+        for path in sorted(pathlib.Path(ffe.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            setattrs = sum(map(_is_object_setattr, ast.walk(tree)))
+            for cls in [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+                defined = {s.name for s in cls.body if isinstance(s, ast.FunctionDef)} | {
+                    t.id for s in cls.body if isinstance(s, ast.Assign)
+                    for t in s.targets if isinstance(t, ast.Name)
+                }
+                where = f"{path.name}: {cls.name}"
+                if (path.name, cls.name) == ("ring.py", "Value"):
+                    bases += 1
+                    setattrs -= sum(map(_is_object_setattr, ast.walk(cls)))
+                else:
+                    assert not defined & policy, where
+                    assert "__repr__" not in defined or cls.name in {
+                        "Polynomial", "CyclotomicRat"
+                    }, where
+            assert setattrs == 0, path.name
+        assert bases == 1
