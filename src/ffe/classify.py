@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import singular_values_stack, trace_power_coeffs
-from .polynomials import _term_text, _text_order, normal_form_basis
+from .polynomials import _term_text, _text_order, normal_form_basis, parse_polynomial
 from .ring import ArityError, FiniteFunction, check_shape
 
 ALL_SCOPE_BUDGET = 10**7
@@ -45,11 +45,6 @@ ALL_SCOPE_BUDGET = 10**7
 
 class BudgetError(ValueError):
     pass
-
-
-def _as_array(f):
-    d = f.d
-    return np.array(f.values, dtype=np.int16).reshape(d, d)
 
 
 # Images per block of _orbit_blocks.  A block is one int64 gather index and
@@ -218,9 +213,7 @@ def lfp_canonical(mat, d):
 
 def lfp_orbit_keys(f):
     """The orbit of dephase(f) as a set of byte keys of dephased matrices."""
-    if f.n != 2:
-        raise ArityError("orbit enumeration defined for n=2")
-    return set(_orbit(_as_array(f)).tolist())
+    return set(_orbit(f.image()).tolist())
 
 
 def key_to_function(d, key):
@@ -248,16 +241,18 @@ class Catalogue:
 
     images, the (N, d, d) uint8 stack of the representatives, is built with
     the catalogue.  The columns singular_values and fingerprints come from
-    it, polynomials (sorted normal-form texts) from the polynomial keys, each
-    once, on first use.  An LU class has its least member's values.
+    it, polynomials (sorted normal-form texts) from the polynomial keys and
+    index_keys, the key stack classify_lfp built (see _polynomial_keys),
+    each once, on first use.  An LU class has its least member's values.
     """
 
-    def __init__(self, d, scope, orbits, lu_classes=None, provenance=None):
+    def __init__(self, d, scope, orbits, index_keys, lu_classes=None, provenance=None):
         self.d = d
         self.scope = scope
         self.orbits = orbits
         self.lu_classes = lu_classes or []
         self.provenance = provenance or {}
+        self.index_keys = index_keys
         self.lu_of_lfp = {
             cid: rec.lu_class_id for rec in self.lu_classes for cid in rec.member_lfp_class_ids
         }
@@ -274,7 +269,7 @@ class Catalogue:
 
     @functools.cached_property
     def polynomials(self):
-        index = dephased_polynomial_index(self.d)
+        index = dephased_polynomial_index(self.d, self.index_keys)
         return [sorted(t for key in rec.polynomial_keys for t in index[key]) for rec in self.orbits]
 
     def to_json(self):
@@ -364,10 +359,8 @@ def invariant_row_signature(f, axis=0):
 
 def haagerup_histogram(f):
     """Histogram over all d^4 quadruples of f(a,b) - f(c,b) + f(c,e) - f(a,e)."""
-    if f.n != 2:
-        raise ArityError("defined for n=2")
     d = f.d
-    m = _as_array(f).astype(np.int64)
+    m = f.image()
     r = m[:, :, None] - m[:, None, :]  # (a, b, e)
     t = (r[:, None, :, :] - r[None, :, :, :]) % d  # (a, c, b, e)
     return tuple(int(v) for v in np.bincount(t.ravel(), minlength=d))
@@ -388,9 +381,7 @@ def _fingerprint_stack(mats):
 
 
 def invariants_fingerprint(f):
-    if f.n != 2:
-        raise ArityError("defined for n=2")
-    return _fingerprint_stack(_as_array(f)[None])[0]
+    return _fingerprint_stack(f.image()[None])[0]
 
 
 def lower_bound(d, n):
@@ -401,27 +392,27 @@ def lower_bound(d, n):
     return -(-num // den)
 
 
-def _polynomial_keys(d, basis):
-    """(keys, mixed, rows): the keys of dephased_polynomial_index in its
-    order, the (K, d, d) uint8 images of the mixed-only normal forms.  basis
-    is normal_form_basis(d, 2), mixed lists its monomials that hold x and y,
-    and each of the K rows gives their coefficients in one form."""
-    monomials, choices, images = basis
+def _polynomial_keys(d):
+    """(keys, basis, mixed, rows): the keys of dephased_polynomial_index in
+    its order, the (K, d, d) uint8 images of the mixed-only normal forms.
+    basis is normal_form_basis(d, 2), mixed lists its monomials that hold x
+    and y, and each of the K rows gives their coefficients in one form."""
+    basis = monomials, choices, images = normal_form_basis(d, 2)
     mixed = [k for k, e in enumerate(monomials) if all(e)]
     rows = np.array(list(itertools.product(*[choices[k] for k in mixed])), dtype=np.int64)
-    return (rows @ images[mixed] % d).astype(np.uint8).reshape(-1, d, d), mixed, rows
+    return (rows @ images[mixed] % d).astype(np.uint8).reshape(-1, d, d), basis, mixed, rows
 
 
-def dephased_polynomial_index(d):
+def dephased_polynomial_index(d, index_keys=None):
     """Map byte key of each dephased polynomial image -> sorted normal forms.
 
     The listed forms are constant-free: a mixed part, whose monomials hold x
     and y, plus univariate parts.  Dephasing removes exactly the univariate
     parts, so the keys are the distinct images of the mixed-only forms, and
     each key lists its mixed form with every univariate coefficient choice.
+    A caller that has built index_keys = _polynomial_keys(d) passes it.
     """
-    basis = monomials, choices, _ = normal_form_basis(d, 2)
-    keys, mixed, rows = _polynomial_keys(d, basis)
+    keys, (monomials, choices, _), mixed, rows = index_keys or _polynomial_keys(d)
     order = sorted(range(1, len(monomials)), key=lambda k: _text_order(monomials[k]))
     terms = [[_term_text(("x", "y"), e, c) if c else "" for c in range(d)] for e in monomials]
     index = {}
@@ -489,7 +480,7 @@ def classify_lfp(d, scope="all", threads=None):
         raise BudgetError(
             f"scope=all at d={d} needs {d ** ((d - 1) ** 2)} matrices > {ALL_SCOPE_BUDGET}"
         )
-    index_mats = _polynomial_keys(d, normal_form_basis(d, 2))[0]
+    index_keys = index_mats, *_ = _polynomial_keys(d)
     if scope == "all":
         seed_count = d ** ((d - 1) ** 2)
         forms, orbit_of = _close_orbits(d, index_mats)
@@ -509,7 +500,7 @@ def classify_lfp(d, scope="all", threads=None):
         "runtime_seconds": round(time.time() - start, 3),
         "version": 1,
     }
-    return Catalogue(d, scope, orbits, provenance=provenance)
+    return Catalogue(d, scope, orbits, index_keys, provenance=provenance)
 
 
 def classify_lu(cat):
@@ -521,58 +512,41 @@ def classify_lu(cat):
     # a group enters at its least member and the classes come in id order,
     # so the groups and their members are both in order of least id
     lu_classes = [LUClassRecord(lu_id, members) for lu_id, members in enumerate(groups.values())]
-    return Catalogue(cat.d, cat.scope, cat.orbits, lu_classes, cat.provenance)
+    return Catalogue(cat.d, cat.scope, cat.orbits, cat.index_keys, lu_classes, cat.provenance)
+
+
+# The named states that are polynomials, as texts with parameter slots; x^t,
+# with t = d - 1, is 1 for x > 0 and 0 at x = 0.
+NAMED_POLYNOMIALS = {
+    "fourier": "x*y", "m_over_r": "{c}*x*y", "p_power": "x^{e}*y", "p_power_T": "x*y^{e}",
+    "f22": "x*y^2 + x^2*y + 2*x*y", "h4": "x*y^2 + x^2*y + 3*x*y",
+    "rank2_f": "{k}*x^{t}*y", "rank2_g": "{k}*x*y^{t}", "rank2_h": "{k}*x^{t}*y^{t}",
+}
 
 
 def special_function(name, d, params=None):
-    """Named constructions used throughout the classification examples."""
+    """Named constructions used throughout the classification examples: the
+    polynomials of NAMED_POLYNOMIALS and the d=6 matrices f32_fixture and
+    s6_fixture."""
+    check_shape(d, 2)
     params = params or {}
-
-    def bilinear(c):
-        return FiniteFunction.from_callable(d, 2, lambda x: c * x[0] * x[1] % d)
-
-    if name == "fourier":
-        return bilinear(1)
+    slots = {"k": params.get("k", 1) % d, "t": d - 1}
     if name == "m_over_r":
-        r = params["r"]
-        if d % r:
-            raise ValueError(f"r={r} must divide d={d}")
-        return bilinear(d // r)
+        slots["c"], rest = divmod(d, params["r"])
+        if rest:
+            raise ValueError(f"r={params['r']} must divide d={d}")
     if name in ("p_power", "p_power_T"):
         p, m = params["p"], params["m"]
         if p**m != d:
             raise ValueError(f"({p},{m}) is not a prime-power factorization of {d}")
-        e = p ** (m - 1)
-        if name == "p_power":
-            return FiniteFunction.from_callable(
-                d, 2, lambda x: pow(x[0], e, d) * x[1] % d
-            )
-        return FiniteFunction.from_callable(
-            d, 2, lambda x: x[0] * pow(x[1], e, d) % d
-        )
+        slots["e"] = p ** (m - 1)
     fixed_d = {"f22": 4, "h4": 4, "f32_fixture": 6, "s6_fixture": 6}.get(name, d)
     if d != fixed_d:
         raise ValueError(f"{name} is a d={fixed_d} construction")
-    if name in ("f22", "h4"):
-        # x y^2 + x^2 y + c x y, with c = 2 (f22) or 3 (h4)
-        c = 2 if name == "f22" else 3
-        return FiniteFunction.from_callable(4, 2, lambda x: x[0] * x[1] * (x[0] + x[1] + c) % 4)
+    if name in NAMED_POLYNOMIALS:
+        return parse_polynomial(NAMED_POLYNOMIALS[name].format(**slots), d, 2).to_function()
     if name in ("f32_fixture", "s6_fixture"):
         return FiniteFunction.from_matrix(6, F32_MATRIX if name == "f32_fixture" else S6_MATRIX)
-    if name in ("rank2_f", "rank2_g", "rank2_h"):
-        # two-output constructions built from x^(d-1): 1 for x > 0, else 0
-        k = params.get("k", 1)
-        if name == "rank2_f":
-            return FiniteFunction.from_callable(
-                d, 2, lambda x: k * pow(x[0], d - 1, d) * x[1] % d
-            )
-        if name == "rank2_g":
-            return FiniteFunction.from_callable(
-                d, 2, lambda x: k * x[0] * pow(x[1], d - 1, d) % d
-            )
-        return FiniteFunction.from_callable(
-            d, 2, lambda x: k * pow(x[0], d - 1, d) * pow(x[1], d - 1, d) % d
-        )
     raise ValueError(f"unknown special function {name!r}")
 
 
@@ -602,9 +576,8 @@ def membership_check(f, class_rep):
     """True iff f and class_rep lie in the same LFP orbit, that is, iff their
     canonical forms (lfp_canonical) have the same lexmin.  No orbit is
     enumerated, so every d up to ring.MAX_D is answered."""
-    if f.n != 2 or class_rep.n != 2:
-        raise ArityError("membership defined for n=2")
+    mats = f.image(), class_rep.image()
     if f.d != class_rep.d:
         raise ArityError("mismatched d")
-    (key_f, _), (key_rep, _) = _canonical_forms(np.stack([_as_array(f), _as_array(class_rep)]))
+    (key_f, _), (key_rep, _) = _canonical_forms(np.stack(mats))
     return key_f == key_rep

@@ -32,13 +32,8 @@ EXIT_CONFORMANCE = 3
 MAX_MESSAGE = 300
 MAX_ERROR_LINE = 400
 
-_NAMED = {
-    "s6": ("s6_fixture", 6),
-    "f32": ("f32_fixture", 6),
-    "f22": ("f22", 4),
-    "h4": ("h4", 4),
-    "fourier": ("fourier", None),
-}
+# the names of --f for the named states of classify.special_function
+_NAMED = {"s6": "s6_fixture", "f32": "f32_fixture", "f22": "f22", "h4": "h4", "fourier": "fourier"}
 
 
 def _clip(message):
@@ -67,10 +62,7 @@ def parse_function_literal(text, d):
             raise ArityError(f"function JSON has d={f.d}, but --d is {d}")
         return f
     if text in _NAMED:
-        name, want_d = _NAMED[text]
-        if want_d is not None and d != want_d:
-            raise ArityError(f"named state {text!r} requires d={want_d}")
-        return special_function(name, d)
+        return special_function(_NAMED[text], d)
     return polynomials.parse_polynomial(text, d, 2).to_function()
 
 

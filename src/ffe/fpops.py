@@ -206,15 +206,14 @@ def _axes(f):
 def image_matrix_row_col_ops(f, row_perm=None, col_perm=None, row_phases=None, col_phases=None):
     """Concrete bipartite LFP action on the image matrix: permute rows and
     columns and add constants to rows and columns."""
-    if f.n != 2:
-        raise ArityError("row/column operations defined for n=2")
+    m = f.image().tolist()
     d = f.d
     row_perm = check_permutation(row_perm if row_perm is not None else range(d), d)
     col_perm = check_permutation(col_perm if col_perm is not None else range(d), d)
     row_phases = tuple(row_phases) if row_phases is not None else (0,) * d
     col_phases = tuple(col_phases) if col_phases is not None else (0,) * d
     vals = [
-        f.values[row_perm[x] * d + col_perm[y]] + row_phases[x] + col_phases[y]
+        m[row_perm[x]][col_perm[y]] + row_phases[x] + col_phases[y]
         for x in range(d)
         for y in range(d)
     ]

@@ -19,11 +19,6 @@ from .cyclo import CyclotomicInt, CyclotomicRat, _power_table, mul_coeffs, phi_d
 from .ring import ArityError, FiniteFunction
 
 
-def _require_bipartite(f):
-    if f.n != 2:
-        raise ArityError("operation defined for bipartite functions (n=2)")
-
-
 # Second modulus of the trace-power kernel: the prime 2^26 - 5.
 _P = 2**26 - 5
 _INV_2_64 = pow(2**64, -1, _P)
@@ -33,10 +28,6 @@ _INV_2_64 = pow(2**64, -1, _P)
 # once its off-diagonal max falls below it.
 _JACOBI_EPS = 1e-12
 _JACOBI_MAX_SWEEPS = 100
-
-
-def _image_stack(f):
-    return np.array(f.values, dtype=np.int64).reshape(1, f.d, f.d)
 
 
 def _gram_counts(images):
@@ -55,8 +46,7 @@ def _to_basis(d, counts):
 
 
 def _gram_coeffs(f):
-    _require_bipartite(f)
-    return _to_basis(f.d, _gram_counts(_image_stack(f))[0])
+    return _to_basis(f.d, _gram_counts(f.image()[None])[0])
 
 
 def gram(f):
@@ -98,11 +88,10 @@ def trace_power_coeffs(images, k_max):
 
 def trace_powers(f, k_max=None):
     """Exact (tr G^2, ..., tr G^k_max) of the unnormalized Gram; k_max = d."""
-    _require_bipartite(f)
     d = f.d
     if k_max is None:
         k_max = d
-    rows = trace_power_coeffs(_image_stack(f), k_max)[0]
+    rows = trace_power_coeffs(f.image()[None], k_max)[0]
     return tuple(CyclotomicInt(d, c) for c in rows.tolist())
 
 
@@ -126,11 +115,10 @@ def _newton_numerators(f):
     k e_k = sum_i (-1)^(i-1) e_(k-i) T_i / d^(2i) become the integer recurrence
     F_k = sum_{i=1..k} (-1)^(i-1) (k-1)!/(k-i)! F_(k-i) T_i, F_0 = 1.
     """
-    _require_bipartite(f)
     d = f.d
     phi = phi_degree(d)
     traces = [None, [d * d] + [0] * (phi - 1)]
-    traces += trace_power_coeffs(_image_stack(f), d)[0].tolist()
+    traces += trace_power_coeffs(f.image()[None], d)[0].tolist()
     numerators = [[1] + [0] * (phi - 1)]
     for k in range(1, d + 1):
         acc = [0] * phi
@@ -274,8 +262,7 @@ def singular_values(f):
     on Python float rows of the 2d x 2d real-symmetric embedding of the
     Hermitian Gram matrix (see _embeddings).
     """
-    _require_bipartite(f)
-    return _schmidt_coefficients(_jacobi_eigenvalues(_embeddings(_image_stack(f))[0].tolist()))
+    return _schmidt_coefficients(_jacobi_eigenvalues(_embeddings(f.image()[None])[0].tolist()))
 
 
 def singular_values_stack(images):
@@ -291,7 +278,6 @@ def subspace_maximally_entangled(f, r):
 
     Equivalent to r^(k-1) * tr G^k == d^(2k) for k = 1..d, checked exactly.
     """
-    _require_bipartite(f)
     d = f.d
     if not (1 <= r <= d):
         raise ArityError(f"subspace dimension {r} out of range")

@@ -103,7 +103,7 @@ class Value:
     A subclass validates its inputs and sets every field once with _set.  The
     fields can then be neither assigned nor deleted; values compare equal
     when their types are the same and their field tuples, in slot order, are
-    equal, and hash as that tuple.
+    equal, and hash as that tuple.  Copy and pickle rebuild them with _set.
     """
 
     __slots__ = ()
@@ -129,6 +129,13 @@ class Value:
 
     def __hash__(self):
         return hash(self._fields(self))
+
+    def __reduce__(self):
+        return type(self)._of_fields, tuple(map(self.__getattribute__, self.__slots__))
+
+    @classmethod
+    def _of_fields(cls, *fields):
+        return object.__new__(cls)._set(*fields)
 
     def __repr__(self):
         fields = ", ".join(
@@ -161,8 +168,7 @@ class FiniteFunction(Value):
     @classmethod
     def from_matrix(cls, d, matrix):
         """Build a bipartite function from its image matrix (row = x)."""
-        values = [v for row in matrix for v in row]
-        return cls(d, 2, values)
+        return cls(d, 2, [v for row in matrix for v in row])
 
     @classmethod
     def from_callable(cls, d, n, fn):
@@ -221,11 +227,15 @@ class FiniteFunction(Value):
         shift = tuple((k + 1) % self.d for k in range(self.d))
         return self.compose_site_permutation(i, shift) - self
 
-    def as_matrix(self):
+    def image(self):
+        """The image matrix of a bipartite function: the (d, d) int64 array
+        with f(x, y) at row x, column y.  Every n=2 operation reads it."""
         if self.n != 2:
             raise ArityError("image matrix defined for n=2 only")
-        d = self.d
-        return [list(self.values[r * d:(r + 1) * d]) for r in range(d)]
+        return np.array(self.values, dtype=np.int64).reshape(self.d, self.d)
+
+    def as_matrix(self):
+        return self.image().tolist()
 
     def as_nested(self):
         return np.reshape(self.values, (self.d,) * self.n).tolist()

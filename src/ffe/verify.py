@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .classify import _as_array, _canonical_forms, classify_lfp, classify_lu
+from .classify import _canonical_forms, classify_lfp, classify_lu
 from .polynomials import parse_polynomial
 from .ring import FiniteFunction, read_json
 
@@ -103,7 +103,7 @@ def _place(cat, fixture, function):
     class, with None for a member in no computed class; function(member) is
     the member's FiniteFunction."""
     rep_to_id = {rec.representative: rec.lfp_class_id for rec in cat.orbits}
-    listed = [_as_array(function(m)) for cls in fixture["classes"] for m in cls["members"]]
+    listed = [function(m).image() for cls in fixture["classes"] for m in cls["members"]]
     ids = iter([rep_to_id.get(best) for best, _ in _canonical_forms(np.stack(listed))])
     return [[next(ids) for _ in cls["members"]] for cls in fixture["classes"]]
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from ffe import classify
 from ffe.classify import (
-    _as_array,
     classify_lfp,
     classify_lu,
     dephased_polynomial_index,
@@ -56,7 +55,7 @@ from ffe.verify import verify_appendix
 def _class_id_of(cat, f):
     # the lexmin comes from the orbit closure, which shares no code with the
     # canonical form that grouped the polynomial-scope catalogue
-    seed = _as_array(dephase(f).representative).astype(np.uint8)
+    seed = dephase(f).representative.image().astype(np.uint8)
     best = classify._orbit(seed)[0].tobytes()
     for rec in cat.orbits:
         if rec.representative == best:
@@ -204,7 +203,7 @@ def test_criterion_05_d6_polynomial_scope_tables(request):
     # s6 is not polynomial and its whole orbit misses the polynomial images,
     # so it forms its own class outside the polynomial-scope catalogue
     assert is_polynomial(s6) is None
-    s6_orbit = classify._orbit(_as_array(dephase(s6).representative).astype(np.uint8))
+    s6_orbit = classify._orbit(dephase(s6).representative.image().astype(np.uint8))
     index = b"".join(dephased_polynomial_index(6))
     index_keys = classify._void_keys(np.frombuffer(index, dtype=np.uint8).reshape(-1, 6, 6))
     pos = np.minimum(np.searchsorted(s6_orbit, index_keys), len(s6_orbit) - 1)

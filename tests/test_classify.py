@@ -37,7 +37,7 @@ from ffe.polynomials import (
     normal_form_basis,
     parse_polynomial,
 )
-from ffe.ring import ArityError, FiniteFunction
+from ffe.ring import ArityError, FiniteFunction, prime_power_factors
 from ffe.verify import verify_appendix
 
 import exact_oracles
@@ -433,6 +433,21 @@ class TestCatalogueColumns:
         assert calls == {"singular_values_stack": 1, "_fingerprint_stack": 0,
                          "dephased_polynomial_index": 0}
 
+    @pytest.mark.parametrize("scope", ["all", "teh"])
+    def test_key_stack_built_once(self, scope, monkeypatch):
+        # the polynomial texts reuse the key stack that classify_lfp built
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return normal_form_basis(*args)
+
+        monkeypatch.setattr(classify, "normal_form_basis", counted)
+        cat = classify_lu(classify_lfp(4, scope))
+        assert calls == [(4, 2)]
+        cat.to_json()
+        assert calls == [(4, 2)]
+
     @pytest.mark.parametrize("name", CATALOGUES)
     def test_columns_match_representatives(self, request, name):
         cat = request.getfixturevalue(name)
@@ -635,6 +650,58 @@ class TestSpecialFunctions:
             f = special_function(name, 6)
             assert is_butson_hadamard(f)
             assert is_polynomial(f) is None
+
+    @staticmethod
+    def closed_forms(d):
+        """(name, params, f) of every named polynomial state valid at d, each
+        built from its formula, with the parameters special_function accepts."""
+        def state(fn):
+            return FiniteFunction.from_callable(d, 2, lambda x: fn(*x) % d)
+
+        cases = [("fourier", None, state(lambda x, y: x * y))]
+        cases += [("m_over_r", {"r": r}, state(lambda x, y, r=r: d // r * x * y))
+                  for r in range(1, d + 1) if d % r == 0]
+        if len(prime_power_factors(d)) == 1:
+            (p, m), = prime_power_factors(d)
+            e = p ** (m - 1)
+            cases += [("p_power", {"p": p, "m": m}, state(lambda x, y: pow(x, e, d) * y)),
+                      ("p_power_T", {"p": p, "m": m}, state(lambda x, y: x * pow(y, e, d)))]
+        if d == 4:
+            cases += [("f22", None, state(lambda x, y: x * y * (x + y + 2))),
+                      ("h4", None, state(lambda x, y: x * y * (x + y + 3)))]
+        one = functools.partial(pow, exp=d - 1, mod=d)  # 1 for x > 0, 0 at 0
+        for k in (None, *range(-1, d + 1)):
+            c = 1 if k is None else k
+            params = None if k is None else {"k": k}
+            cases += [("rank2_f", params, state(lambda x, y, c=c: c * one(x) * y)),
+                      ("rank2_g", params, state(lambda x, y, c=c: c * x * one(y))),
+                      ("rank2_h", params, state(lambda x, y, c=c: c * one(x) * one(y)))]
+        return cases
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_table_matches_closed_forms(self, d):
+        for name, params, f in self.closed_forms(d):
+            assert special_function(name, d, params) == f, (name, params)
+
+    def test_every_entry_has_a_closed_form(self):
+        names = {name for d in range(2, 13) for name, _, _ in self.closed_forms(d)}
+        assert names == set(classify.NAMED_POLYNOMIALS)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_wrong_d_and_parameters_raise(self, d):
+        for name, params in [("m_over_r", {"r": r}) for r in range(1, 13) if d % r] + [
+            (name, {"p": p, "m": m}) for name in ("p_power", "p_power_T")
+            for p in (2, 3, 5, 7, 11) for m in (1, 2, 3) if p**m != d
+        ] + [(name, None) for name in ("f22", "h4") if d != 4] + [
+            (name, None) for name in ("f32_fixture", "s6_fixture") if d != 6
+        ]:
+            with pytest.raises(ValueError):
+                special_function(name, d, params)
+
+    @pytest.mark.parametrize("alias, d", [("s6", 4), ("f32", 5), ("f22", 6), ("h4", 3)])
+    def test_cli_named_state_at_wrong_d_exits_1(self, alias, d, capsys):
+        assert cli.main(["query", "--d", str(d), "--f", alias, "--ops", "it"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: ")
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

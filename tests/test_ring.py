@@ -1,10 +1,13 @@
 """Finite functions: indexing, modular arithmetic, composition, serialization;
 the shared immutable value type."""
 import ast
+import copy
 import itertools
 import json
 import pathlib
+import pickle
 import random
+import re
 import sys
 
 import numpy as np
@@ -13,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ffe
+from ffe import classify, linalg
 from ffe.cyclo import CyclotomicInt, CyclotomicRat
-from ffe.fpops import DephasedForm, FPElement, LFPElement
+from ffe.fpops import DephasedForm, FPElement, LFPElement, image_matrix_row_col_ops
 from ffe.polynomials import Polynomial, TensorEdgeHypergraph
 from ffe.ring import (
     ArityError,
@@ -95,6 +99,83 @@ class TestConstruction:
         f = FiniteFunction.from_matrix(2, [[0, 1], [2, 3]])
         assert f.eval((1, 0)) == 2 % 2
         assert f.as_matrix() == [[0, 1], [0, 1]]
+
+
+# Every entry that reads the image matrix of a bipartite function
+BIPARTITE_ENTRIES = {
+    "image": lambda f: f.image(),
+    "as_matrix": lambda f: f.as_matrix(),
+    "gram": linalg.gram,
+    "trace_powers": linalg.trace_powers,
+    "schmidt_rank": linalg.schmidt_rank,
+    "char_poly_coeffs": linalg.char_poly_coeffs,
+    "singular_values": linalg.singular_values,
+    "is_butson_hadamard": linalg.is_butson_hadamard,
+    "subspace_maximally_entangled": lambda f: linalg.subspace_maximally_entangled(f, 1),
+    "haagerup_histogram": classify.haagerup_histogram,
+    "invariants_fingerprint": classify.invariants_fingerprint,
+    "lfp_orbit_keys": classify.lfp_orbit_keys,
+    "membership_check": lambda f: classify.membership_check(f, f),
+    "membership_check_of_bipartite": lambda f: classify.membership_check(
+        FiniteFunction.zero(f.d, 2), f),
+    "membership_check_against_bipartite": lambda f: classify.membership_check(
+        f, FiniteFunction.zero(f.d, 2)),
+    "image_matrix_row_col_ops": image_matrix_row_col_ops,
+}
+
+
+class TestImage:
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_row_is_first_argument(self, d):
+        f = random_function(d, 2, random.Random(d))
+        m = f.image()
+        assert m.dtype == np.int64 and m.shape == (d, d)
+        assert all(m[x, y] == f.values[x * d + y] for x in range(d) for y in range(d))
+        assert f.as_matrix() == m.tolist()
+
+    @pytest.mark.parametrize("name", BIPARTITE_ENTRIES)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_only_bipartite_functions(self, name, n):
+        f = random_function(3, n, random.Random(n))
+        with pytest.raises(ArityError, match="^image matrix defined for n=2 only$"):
+            BIPARTITE_ENTRIES[name](f)
+
+    def test_image_is_the_one_view(self):
+        """n != 2 and reshapes of .values to any shape but (d,) * n appear
+        only in ring.py, and no module imports a private name of classify
+        but _canonical_forms."""
+        views = {}
+        for path in sorted(pathlib.Path(ffe.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            tree = ast.parse(text)
+            views[path.name] = _bipartite_views(tree)
+            if path.name != "ring.py":
+                assert not re.search(r"\bn != 2\b", text), path.name
+                assert not views[path.name], path.name
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module in ("classify", "ffe.classify"):
+                    names = {alias.name for alias in node.names if alias.name.startswith("_")}
+                    assert names <= {"_canonical_forms"}, path.name
+        assert len(views["ring.py"]) == 1
+
+
+def _bipartite_views(tree):
+    """Line numbers of the reshapes of a .values attribute in tree whose
+    shape is not one (d,) * n product."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "reshape"):
+            continue
+        if isinstance(node.func.value, ast.Name) and node.func.value.id == "np":
+            array, shape = node.args[0], node.args[1:]
+        else:
+            array, shape = node.func.value, node.args
+        if any(isinstance(n, ast.Attribute) and n.attr == "values" for n in ast.walk(array)) and not (
+            len(shape) == 1 and isinstance(shape[0], ast.BinOp) and isinstance(shape[0].op, ast.Mult)
+        ):
+            lines.append(node.lineno)
+    return lines
 
 
 class TestEval:
@@ -422,6 +503,17 @@ class TestValueTypes:
     def test_cyclotomic_int_is_not_the_equal_rational(self):
         one = CyclotomicInt.from_int(3, 1)
         assert one != CyclotomicRat(one) and CyclotomicRat(one) != one
+
+    @pytest.mark.parametrize("make, fields, text", VALUES, ids=NAMES)
+    def test_copy_and_pickle(self, make, fields, text):
+        x = make()
+        pickled = [pickle.loads(pickle.dumps(x, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in (copy.copy(x), copy.deepcopy(x), *pickled):
+            assert type(y) is type(x) and y == x
+            assert tuple(getattr(y, slot) for slot in type(x).__slots__) == fields
+            if not isinstance(x, TensorEdgeHypergraph):  # its edges are a dict
+                assert hash(y) == hash(x)
 
     @pytest.mark.parametrize("make, fields, text", VALUES, ids=NAMES)
     def test_repr(self, make, fields, text):
