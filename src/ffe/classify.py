@@ -523,6 +523,9 @@ NAMED_POLYNOMIALS = {
     "rank2_f": "{k}*x^{t}*y", "rank2_g": "{k}*x*y^{t}", "rank2_h": "{k}*x^{t}*y^{t}",
 }
 
+# The named states that exist at one d only.
+NAMED_FIXED_D = {"f22": 4, "h4": 4, "f32_fixture": 6, "s6_fixture": 6}
+
 
 def special_function(name, d, params=None):
     """Named constructions used throughout the classification examples: the
@@ -540,7 +543,7 @@ def special_function(name, d, params=None):
         if p**m != d:
             raise ValueError(f"({p},{m}) is not a prime-power factorization of {d}")
         slots["e"] = p ** (m - 1)
-    fixed_d = {"f22": 4, "h4": 4, "f32_fixture": 6, "s6_fixture": 6}.get(name, d)
+    fixed_d = NAMED_FIXED_D.get(name, d)
     if d != fixed_d:
         raise ValueError(f"{name} is a d={fixed_d} construction")
     if name in NAMED_POLYNOMIALS:

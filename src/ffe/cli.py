@@ -17,7 +17,7 @@ import sys
 
 from . import classify as classify_mod
 from . import linalg, polynomials, stabilizer, verify
-from .classify import BudgetError, classify_lfp, classify_lu, special_function
+from .classify import NAMED_FIXED_D, BudgetError, classify_lfp, classify_lu, special_function
 from .polynomials import EnumerationTooLarge
 from .ring import ArityError, check_shape, parse_function, read_json
 
@@ -62,6 +62,9 @@ def parse_function_literal(text, d):
             raise ArityError(f"function JSON has d={f.d}, but --d is {d}")
         return f
     if text in _NAMED:
+        fixed_d = NAMED_FIXED_D.get(_NAMED[text], d)
+        if d != fixed_d:
+            raise ValueError(f"{text} is a d={fixed_d} construction")
         return special_function(_NAMED[text], d)
     return polynomials.parse_polynomial(text, d, 2).to_function()
 

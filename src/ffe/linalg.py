@@ -6,6 +6,11 @@ omega^{f(x,y)} (x = row).  The column Gram G = A^dagger A has entries
 G_{ij} = sum_k omega^{f(k,i) - f(k,j)}, is Hermitian with diagonal d, and its
 exact trace powers (tr G^2, ..., tr G^d) determine the reduced-state spectrum
 via Newton's identities, so they serve as an exact local-unitary signature.
+
+The singular values of one state come from LAPACK's SVD. A stack of states,
+as the catalogue columns are, goes through a lockstep Jacobi on the real
+embeddings of the Grams instead, so that the round-off the catalogue JSON
+prints is fixed by IEEE operations alone and stays byte-identical.
 """
 from __future__ import annotations
 
@@ -23,9 +28,8 @@ from .ring import ArityError, FiniteFunction
 _P = 2**26 - 5
 _INV_2_64 = pow(2**64, -1, _P)
 
-# Shared by the per-state and stack Jacobi routines, whose results must agree
-# bit for bit: a rotation is skipped below _JACOBI_EPS, and a matrix is done
-# once its off-diagonal max falls below it.
+# The lockstep Jacobi's thresholds: a rotation is skipped below _JACOBI_EPS,
+# and a matrix is done once its off-diagonal max falls below it.
 _JACOBI_EPS = 1e-12
 _JACOBI_MAX_SWEEPS = 100
 
@@ -61,10 +65,11 @@ def trace_power_coeffs(images, k_max):
 
     G^k is computed in the group ring Z[C_d], where an entry is its vector of
     d exponent counts and a product of entries is a cyclic convolution, so one
-    einsum against a circulant copy of G multiplies two matrices. Every count
-    of tr G^k is a nonnegative integer and the counts sum to d^(2k) <= 12^24
-    < 2^87. The chain runs on two copies of the stack in one uint64 array:
-    the first wraps mod 2^64, the second is reduced mod _P after each product
+    matmul against a circulant copy of G multiplies two matrices, once each
+    (column, exponent) pair is flattened to one axis. Every count of tr G^k
+    is a nonnegative integer and the counts sum to d^(2k) <= 12^24 < 2^87.
+    The chain runs on two copies of the stack in one uint64 array: the first
+    wraps mod 2^64, the second is reduced mod _P after each product
     (a product entry sums d^2 terms below d * _P, so it stays below 2^37).
     Since 2^64 * _P > 2^89, the CRT joins the two residues into the exact
     count for every d <= 12.
@@ -74,13 +79,14 @@ def trace_power_coeffs(images, k_max):
     g = _gram_counts(images).astype(np.uint64)
     g = np.concatenate([g, g])
     shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
-    circulant = g[..., shift]  # circulant[m, k, j, a, e] = count of G_kj at e - a
+    # circulant[m, (k, a), (j, e)] = count of G_kj at e - a
+    circulant = g[..., shift].transpose(0, 1, 3, 2, 4).reshape(2 * n, d * d, d * d)
     traces = np.empty((2 * n, max(k_max - 1, 0), d), dtype=np.uint64)
-    power = g
+    power = g.reshape(2 * n, d, d * d)  # power[m, i, (k, a)]
     for k in range(traces.shape[1]):
-        power = np.einsum("mika,mkjae->mije", power, circulant)
+        power = power @ circulant
         power[n:] %= _P
-        traces[:, k] = np.trace(power, axis1=1, axis2=2)
+        traces[:, k] = np.trace(power.reshape(2 * n, d, d, d), axis1=1, axis2=2)
     low, high = traces[:n], traces[n:] % _P
     lift = (high.astype(np.int64) - (low % _P).astype(np.int64)) % _P * _INV_2_64 % _P
     return _to_basis(d, low.astype(object) + lift.astype(object) * 2**64)
@@ -181,36 +187,11 @@ def _embeddings(images):
     return emb
 
 
-def _jacobi_eigenvalues(a):
-    """Eigenvalues of a real symmetric matrix of float rows by cyclic Jacobi
-    rotations, in place on Python floats: the IEEE operations of numpy rows."""
-    size = len(a)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(size - 1):
-            for x in a[p][p + 1:]:
-                off = max(off, abs(x))
-        if off < _JACOBI_EPS:
-            return np.sort([a[i][i] for i in range(size)])[::-1]
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = a[p][q]
-                if abs(apq) < _JACOBI_EPS:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * apq, a[q][q] - a[p][p])
-                c, s = math.cos(theta), math.sin(theta)
-                row_p, row_q = a[p], a[q]
-                a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
-                a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
-                for row in a:
-                    x, y = row[p], row[q]
-                    row[p], row[q] = c * x - s * y, s * x + c * y
-    raise ArithmeticError("Jacobi iteration failed to converge")
-
-
 def _jacobi_eigenvalues_stack(a):
-    """_jacobi_eigenvalues for each matrix of an (N, n, n) stack, all rotated
-    in lockstep with the same IEEE operations, so each result is bit-identical.
+    """Eigenvalues (descending) of each real symmetric matrix of an (N, n, n)
+    stack by cyclic Jacobi rotations, all rotated in lockstep with the IEEE
+    operations of a Jacobi on one matrix's numpy rows, so each result is
+    bit-identical to it.
 
     A matrix leaves the stack at the top of the sweep where its off-diagonal
     max falls below _JACOBI_EPS. At each (p, q), only the matrices with
@@ -256,18 +237,17 @@ def _schmidt_coefficients(eig):
 
 
 def singular_values(f):
-    """Schmidt coefficients (descending) of the normalized state of f.
-
-    Computed as square roots of eigenvalues of rho = G/d^2, via cyclic Jacobi
-    on Python float rows of the 2d x 2d real-symmetric embedding of the
-    Hermitian Gram matrix (see _embeddings).
-    """
-    return _schmidt_coefficients(_jacobi_eigenvalues(_embeddings(f.image()[None])[0].tolist()))
+    """Schmidt coefficients (descending) of the normalized state of f: the
+    singular values of its coefficient matrix omega^f / d, from LAPACK's SVD."""
+    return np.linalg.svd(np.exp(2j * np.pi * f.image() / f.d) / f.d, compute_uv=False).tolist()
 
 
 def singular_values_stack(images):
-    """singular_values of every matrix of an (N, d, d) stack of image
-    matrices, bit-identical to it, from one lockstep Jacobi over the stack."""
+    """Schmidt coefficients (descending) of every matrix of an (N, d, d) stack
+    of image matrices, as square roots of the eigenvalues of rho = G / d^2
+    from one lockstep Jacobi over the stack's real embeddings. Its round-off
+    is fixed by the IEEE operations alone (see _embeddings and
+    _jacobi_eigenvalues_stack), which the catalogue JSON prints."""
     if not len(images):
         return []
     return [_schmidt_coefficients(eig) for eig in _jacobi_eigenvalues_stack(_embeddings(images))]

@@ -128,6 +128,12 @@ class TestQuery:
         code, _, err = run(capsys, "query", "--d", "4", "--f", "s6", "--ops", "it")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("name,d,fixed_d", [("s6", 4, 6), ("f32", 4, 6), ("f22", 6, 4), ("h4", 3, 4)])
+    def test_named_state_wrong_d_names_the_alias(self, capsys, name, d, fixed_d):
+        code, out, err = run(capsys, "query", "--d", str(d), "--f", name)
+        assert_input_error(code, out, err)
+        assert err == f"input error: {name} is a d={fixed_d} construction\n"
+
     @pytest.mark.parametrize("literal", [
         '{"d":"3","n":1,"values":[0,1,2]}',
         '{"d":3.0,"n":1,"values":[0,1,2]}',

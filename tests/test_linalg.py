@@ -136,6 +136,15 @@ class TestTracePowerOracle:
             assert trace_powers(f) == oracle.trace_powers(f)
         assert trace_powers(f, 1) == () == oracle.trace_powers(f, 1)
 
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_mixed_stack(self, d):
+        # one stack of several states, so the products and the CRT lift run
+        # batched at every d
+        cases = oracle_cases(d, random.Random(400 + d))
+        stack = np.array([f.values for f in cases]).reshape(-1, d, d)
+        got = trace_power_coeffs(stack, d).tolist()
+        assert got == [[list(t.coeffs) for t in oracle.trace_powers(f)] for f in cases]
+
     @pytest.mark.parametrize("name", ["cat3_all", "cat4_full", "cat6_teh"])
     def test_catalogue_signatures(self, request, name):
         cat = request.getfixturevalue(name)
@@ -211,7 +220,6 @@ class TestSingularValues:
                 a = omega ** np.array(f.as_matrix(), dtype=float) / d
                 reference = np.linalg.svd(a, compute_uv=False)
                 ours = singular_values(f)
-                # square roots near zero amplify the Jacobi tolerance
                 assert np.allclose(ours, reference, atol=1e-7)
 
     def test_descending(self):
@@ -222,8 +230,8 @@ class TestSingularValues:
 
 
 class TestSingularValuesOracle:
-    """Jacobi on Python float rows, and the lockstep Jacobi over a stack,
-    against Jacobi on numpy row slices: every value must be the same float,
+    """The lockstep Jacobi, on one state and over a stack, against Jacobi on
+    numpy row slices: every value must be the same float,
     down to the sign of zero, since the catalogue JSON prints their
     round-off."""
 
@@ -236,7 +244,7 @@ class TestSingularValuesOracle:
         rng = random.Random(200 + d)
         cases = oracle_cases(d, rng) + [random_function(d, rng) for _ in range(4)]
         for f in cases:
-            assert self.same_floats(singular_values(f), oracle.singular_values(f)), f
+            assert self.same_floats(singular_values_stack(f.image()[None])[0], oracle.singular_values(f)), f
 
     @pytest.mark.parametrize("name", ["cat3_all", "cat4_full", "cat6_teh"])
     def test_catalogue_classes(self, request, name):
@@ -285,6 +293,58 @@ class TestSingularValuesOracle:
         cases, images = self.mixed_stack(d)
         for f, emb in zip(cases, _embeddings(images)):
             assert np.array_equal(emb.view(np.uint64), oracle.embedding(f).view(np.uint64)), f
+
+
+def named_states(d):
+    """Every named state of classify.special_function that exists at d."""
+    states = [special_function("fourier", d)]
+    states += [special_function("m_over_r", d, {"r": r}) for r in range(1, d + 1) if d % r == 0]
+    states += [special_function(name, d, {"k": k})
+               for name in ("rank2_f", "rank2_g", "rank2_h") for k in range(1, d)]
+    for p, m in itertools.product((2, 3, 5, 7, 11), range(1, 4)):
+        if p**m == d:
+            states += [special_function(name, d, {"p": p, "m": m}) for name in ("p_power", "p_power_T")]
+    names = {4: ("f22", "h4"), 6: ("f32_fixture", "s6_fixture")}.get(d, ())
+    return states + [special_function(name, d) for name in names]
+
+
+def random_polynomial_state(d, rng):
+    """The function of a random polynomial of up to four terms over Z_d."""
+    terms = [(rng.randrange(1, d), rng.randrange(d), rng.randrange(d))
+             for _ in range(rng.randrange(1, 5))]
+    return FiniteFunction.from_callable(
+        d, 2, lambda x: sum(c * x[0] ** a * x[1] ** b for c, a, b in terms) % d)
+
+
+class TestSingleStateSingularValues:
+    """LAPACK's values for one state against the catalogue's lockstep Jacobi,
+    at the 6 decimals that `ffe query --ops sv` prints."""
+
+    @staticmethod
+    def assert_same_printed(states):
+        stack = singular_values_stack(np.array([f.image() for f in states]))
+        for f, want in zip(states, stack):
+            assert [round(v, 6) for v in singular_values(f)] == [round(v, 6) for v in want], f
+
+    @pytest.mark.parametrize("name", ["cat3_all", "cat4_full"])
+    def test_catalogue_representatives(self, request, name):
+        cat = request.getfixturevalue(name)
+        self.assert_same_printed([key_to_function(cat.d, rec.representative) for rec in cat.orbits])
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_named_random_and_polynomial_states(self, d):
+        rng = random.Random(500 + d)
+        cases = named_states(d) + oracle_cases(d, rng)
+        cases += [random_function(d, rng) for _ in range(20)]
+        cases += [random_polynomial_state(d, rng) for _ in range(20)]
+        self.assert_same_printed(cases)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_zero_coefficients_beyond_the_rank(self, d):
+        for f in oracle_cases(d, random.Random(600 + d)) + named_states(d):
+            values = singular_values(f)
+            assert len(values) == d and values == sorted(values, reverse=True)
+            assert all(v < 1e-12 for v in values[schmidt_rank(f):]), f
 
 
 class TestSubspaceMaximallyEntangled:
