@@ -121,7 +121,8 @@ def cmd_equiv(args):
         same = classify_mod.membership_check(f, g)
         witness = "orbit membership of the dephased representative"
     else:
-        same = linalg.trace_powers(f) == linalg.trace_powers(g)
+        sigs = linalg.trace_power_coeffs([f.image(), g.image()], f.d).tolist()
+        same = sigs[0] == sigs[1]
         witness = "exact trace-power signature comparison"
     print(f"{'equivalent' if same else 'inequivalent'} ({witness})")
     return EXIT_OK

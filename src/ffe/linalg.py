@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .cyclo import CyclotomicInt, CyclotomicRat, _power_table, mul_coeffs, phi_degree
-from .ring import ArityError, FiniteFunction
+from .ring import ArityError
 
 
-# Second modulus of the trace-power kernel: the prime 2^26 - 5.
-_P = 2**26 - 5
-_INV_2_64 = pow(2**64, -1, _P)
+# Moduli of the trace-power chain once its counts reach 2^53: primes p with
+# d^3 p < 2^53 at every d <= 12, whose product is about 2^126.
+_MODULI = (2**42 - 11, 2**42 - 17, 2**42 - 33)
 
 # The lockstep Jacobi's thresholds: a rotation is skipped below _JACOBI_EPS,
 # and a matrix is done once its off-diagonal max falls below it.
@@ -66,30 +65,52 @@ def trace_power_coeffs(images, k_max):
     G^k is computed in the group ring Z[C_d], where an entry is its vector of
     d exponent counts and a product of entries is a cyclic convolution, so one
     matmul against a circulant copy of G multiplies two matrices, once each
-    (column, exponent) pair is flattened to one axis. Every count of tr G^k
-    is a nonnegative integer and the counts sum to d^(2k) <= 12^24 < 2^87.
-    The chain runs on two copies of the stack in one uint64 array: the first
-    wraps mod 2^64, the second is reduced mod _P after each product
-    (a product entry sums d^2 terms below d * _P, so it stays below 2^37).
-    Since 2^64 * _P > 2^89, the CRT joins the two residues into the exact
-    count for every d <= 12.
+    (column, exponent) pair is flattened to one axis. The chain runs in
+    float64, so every product is a BLAS dgemm, and it is exact because every
+    value it holds is an integer below 2^53. Every count of G^k and of its
+    trace is a nonnegative integer, and the counts of tr G^k sum to d^(2k).
+    While d^(2 k_max) < 2^53 (every k_max <= d at d <= 8), every count and
+    every partial sum of a product stays below that, and the chain runs
+    unreduced. Past it, one copy of the stack runs per modulus of _MODULI,
+    reduced with fmod after each product: a product entry sums d^2 terms,
+    each a residue below p times a count of G at most d, so it stays below
+    d^3 p < 2^53. The CRT joins the residues into the exact counts while the
+    moduli's product exceeds d^(2 k_max), which holds for k_max <= 17 at
+    every d <= 12; past that a ValueError is raised.
     """
     images = np.asarray(images)
     n, d = len(images), images.shape[-1]
-    g = _gram_counts(images).astype(np.uint64)
-    g = np.concatenate([g, g])
+    bound = d ** (2 * k_max)
+    moduli = ()
+    while bound >= 2**53 and math.prod(moduli) <= bound:
+        if len(moduli) == len(_MODULI):
+            raise ValueError(f"trace powers at d={d} are exact only while d^(2 k_max) is below "
+                             f"the moduli's product; k_max={k_max} is past it")
+        moduli = _MODULI[:len(moduli) + 1]
+    copies = max(len(moduli), 1)
+    g = _gram_counts(images).astype(float)
     shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
     # circulant[m, (k, a), (j, e)] = count of G_kj at e - a
-    circulant = g[..., shift].transpose(0, 1, 3, 2, 4).reshape(2 * n, d * d, d * d)
-    traces = np.empty((2 * n, max(k_max - 1, 0), d), dtype=np.uint64)
-    power = g.reshape(2 * n, d, d * d)  # power[m, i, (k, a)]
-    for k in range(traces.shape[1]):
+    circulant = g[..., shift].transpose(0, 1, 3, 2, 4).reshape(n, d * d, d * d)
+    mods = np.array(moduli, dtype=float).reshape(-1, 1, 1, 1)
+    traces = np.empty((copies, n, max(k_max - 1, 0), d))
+    # power[c, m, i, (k, a)], one copy c per modulus
+    power = np.broadcast_to(g.reshape(n, d, d * d), (copies, n, d, d * d))
+    for k in range(traces.shape[2]):
         power = power @ circulant
-        power[n:] %= _P
-        traces[:, k] = np.trace(power.reshape(2 * n, d, d, d), axis1=1, axis2=2)
-    low, high = traces[:n], traces[n:] % _P
-    lift = (high.astype(np.int64) - (low % _P).astype(np.int64)) % _P * _INV_2_64 % _P
-    return _to_basis(d, low.astype(object) + lift.astype(object) * 2**64)
+        if moduli:
+            np.fmod(power, mods, out=power)
+        traces[..., k, :] = np.trace(power.reshape(copies, n, d, d, d), axis1=2, axis2=3)
+    if moduli:
+        np.fmod(traces, mods, out=traces)
+    residues = traces.astype(np.int64)
+    counts = residues[0]
+    if moduli:
+        counts, modulus = counts.astype(object), moduli[0]
+        for p, r in zip(moduli[1:], residues[1:]):
+            counts += modulus * ((r - counts) * pow(modulus, -1, p) % p)
+            modulus *= p
+    return _to_basis(d, counts).astype(object)
 
 
 def trace_powers(f, k_max=None):
@@ -281,59 +302,3 @@ def char_poly_coeffs(f):
                       math.factorial(k) * d ** (2 * k))
         for k, num in enumerate(numerators[1:], start=1)
     ]
-
-
-def rank2_trace_formula(d, n1, n2):
-    """Exact tr(rho^2) for a two-output row function hit n1 and n2 times."""
-    if n1 < 1 or n2 < 1 or n1 + n2 != d:
-        raise ValueError(f"invalid output counts ({n1}, {n2}) for d={d}")
-    # Splitting the off-diagonal double sum by whether the two row values
-    # agree: equal pairs contribute d(d-1) each, unequal pairs -d each.
-    return (
-        Fraction(2 * d - 1, d**2)
-        + Fraction(d - 1, d**3) * (n1**2 - n1 + n2**2 - n2)
-        - Fraction(2 * n1 * n2, d**3)
-    )
-
-
-def kummer_check(p, m, k):
-    """binom(p^(m-1), k) * p^k == 0 mod p^m, via exact big integers."""
-    if not (0 < k <= p ** (m - 1)):
-        raise ValueError(f"k={k} out of range for p^(m-1)={p**(m-1)}")
-    return (math.comb(p ** (m - 1), k) * p**k) % p**m == 0
-
-
-def _fourier(d):
-    omega = np.exp(2j * np.pi / d)
-    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return omega ** (j * k) / np.sqrt(d)
-
-
-def state_vector(f):
-    """Normalized complex state vector of |f> (for numeric cross-checks)."""
-    omega = np.exp(2j * np.pi / f.d)
-    vec = omega ** np.array(f.values, dtype=float)
-    return vec / np.sqrt(len(vec))
-
-
-def f_two_by_two():
-    """The d=4 state whose coefficient matrix is exactly F_2 tensor F_2:
-    phase 2(x_1 y_1 + x_2 y_2) under the big-endian pairing x = 2 x_1 + x_2.
-    Its class representative polynomial is x y^2 + x^2 y + 2xy."""
-    def phase(x):
-        x1, x2 = divmod(x[0], 2)
-        y1, y2 = divmod(x[1], 2)
-        return 2 * (x1 * y1 + x2 * y2) % 4
-
-    return FiniteFunction.from_callable(4, 2, phase)
-
-
-def verify_lu_map_f4_f22(tol=1e-9):
-    """Check the explicit local unitary mapping the F_2 tensor F_2 state to
-    |xy> at d=4: the site-2 operator F_4^T (F_2 tensor F_2)^*, identity on
-    site 1, compared up to global phase."""
-    f4 = FiniteFunction.from_callable(4, 2, lambda x: (x[0] * x[1]) % 4)
-    b = _fourier(4).T @ np.conj(np.kron(_fourier(2), _fourier(2)))
-    mapped = np.kron(np.eye(4), b) @ state_vector(f_two_by_two())
-    overlap = abs(np.vdot(state_vector(f4), mapped))
-    return abs(overlap - 1.0) < tol

@@ -41,6 +41,10 @@ check.
   shares only `classify._pivot_tables` with the library's array-state search,
   which tests/test_classify.py checks against it at d = 2..12 and against
   the orbit closure at d <= 6.
+- The paper's closed forms that no library path computes: `rank2_trace_formula`
+  (tr rho^2 of a two-output row function), `kummer_check`, and
+  `verify_lu_map_f4_f22`, the explicit local unitary from F_2 tensor F_2
+  (`f_two_by_two`) to |xy> at d = 4, checked on numeric `state_vector`s.
 """
 import itertools
 import math
@@ -52,6 +56,7 @@ import numpy as np
 from ffe import classify
 from ffe.cyclo import CyclotomicInt, CyclotomicRat
 from ffe.polynomials import _term_text, _text_order, enumerate_polynomial_blocks
+from ffe.ring import FiniteFunction
 
 
 def gram(f):
@@ -518,3 +523,59 @@ def row_signature(f, axis):
     for total in sums:
         counts[total % f.d] = counts.get(total % f.d, 0) + 1
     return tuple(sorted(counts.values()))
+
+
+def rank2_trace_formula(d, n1, n2):
+    """Exact tr(rho^2) for a two-output row function hit n1 and n2 times."""
+    if n1 < 1 or n2 < 1 or n1 + n2 != d:
+        raise ValueError(f"invalid output counts ({n1}, {n2}) for d={d}")
+    # Splitting the off-diagonal double sum by whether the two row values
+    # agree: equal pairs contribute d(d-1) each, unequal pairs -d each.
+    return (
+        Fraction(2 * d - 1, d**2)
+        + Fraction(d - 1, d**3) * (n1**2 - n1 + n2**2 - n2)
+        - Fraction(2 * n1 * n2, d**3)
+    )
+
+
+def kummer_check(p, m, k):
+    """binom(p^(m-1), k) * p^k == 0 mod p^m, via exact big integers."""
+    if not (0 < k <= p ** (m - 1)):
+        raise ValueError(f"k={k} out of range for p^(m-1)={p**(m-1)}")
+    return (math.comb(p ** (m - 1), k) * p**k) % p**m == 0
+
+
+def _fourier(d):
+    omega = np.exp(2j * np.pi / d)
+    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    return omega ** (j * k) / np.sqrt(d)
+
+
+def state_vector(f):
+    """Normalized complex state vector of |f> (for numeric cross-checks)."""
+    omega = np.exp(2j * np.pi / f.d)
+    vec = omega ** np.array(f.values, dtype=float)
+    return vec / np.sqrt(len(vec))
+
+
+def f_two_by_two():
+    """The d=4 state whose coefficient matrix is exactly F_2 tensor F_2:
+    phase 2(x_1 y_1 + x_2 y_2) under the big-endian pairing x = 2 x_1 + x_2.
+    Its class representative polynomial is x y^2 + x^2 y + 2xy."""
+    def phase(x):
+        x1, x2 = divmod(x[0], 2)
+        y1, y2 = divmod(x[1], 2)
+        return 2 * (x1 * y1 + x2 * y2) % 4
+
+    return FiniteFunction.from_callable(4, 2, phase)
+
+
+def verify_lu_map_f4_f22(tol=1e-9):
+    """Check the explicit local unitary mapping the F_2 tensor F_2 state to
+    |xy> at d=4: the site-2 operator F_4^T (F_2 tensor F_2)^*, identity on
+    site 1, compared up to global phase."""
+    f4 = FiniteFunction.from_callable(4, 2, lambda x: (x[0] * x[1]) % 4)
+    b = _fourier(4).T @ np.conj(np.kron(_fourier(2), _fourier(2)))
+    mapped = np.kron(np.eye(4), b) @ state_vector(f_two_by_two())
+    overlap = abs(np.vdot(state_vector(f4), mapped))
+    return abs(overlap - 1.0) < tol

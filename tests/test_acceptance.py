@@ -29,11 +29,8 @@ from ffe.fpops import dephase, random_lfp
 from ffe.linalg import (
     char_poly_coeffs,
     is_butson_hadamard,
-    kummer_check,
     normalized_trace_powers,
-    rank2_trace_formula,
     subspace_maximally_entangled,
-    verify_lu_map_f4_f22,
 )
 from ffe.polynomials import (
     enumerate_polynomial_functions,
@@ -50,6 +47,8 @@ from ffe.stabilizer import (
     unique_fixed_space_dim,
 )
 from ffe.verify import verify_appendix
+
+from exact_oracles import kummer_check, rank2_trace_formula, verify_lu_map_f4_f22
 
 
 def _class_id_of(cat, f):

@@ -232,6 +232,27 @@ class TestEquiv:
         code, out, _ = run(capsys, "equiv", "--d", "3", "--f", "x^2*y", "--g", "x^2*y")
         assert code == EXIT_OK and out.startswith("equivalent")
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_modes_agree_with_per_state_trace_powers(self, capsys, d):
+        # moved is an LFP image of f, so equivalent in both modes; other has
+        # different trace powers, so it is inequivalent in both
+        rng = random.Random(500 + d)
+        f = FiniteFunction(d, 2, [rng.randrange(d) for _ in range(d * d)])
+        moved, _ = random_lfp(d, 2, 600 + d).lift().apply(f)
+        other = f
+        while trace_powers(other) == trace_powers(f):
+            other = FiniteFunction(d, 2, [rng.randrange(d) for _ in range(d * d)])
+        assert trace_powers(moved) == trace_powers(f)
+        witnesses = {"lu": "exact trace-power signature comparison",
+                     "lfp": "orbit membership of the dephased representative"}
+        for g, expected in [(moved, "equivalent"), (other, "inequivalent")]:
+            for mode, witness in witnesses.items():
+                code, out, _ = run(
+                    capsys, "equiv", "--d", str(d), "--f", emit_function(f),
+                    "--g", emit_function(g), "--mode", mode,
+                )
+                assert code == EXIT_OK and out == f"{expected} ({witness})\n"
+
     def test_lfp_budget_exit_at_d7(self, capsys, monkeypatch):
         # the canonical-form search stops past its state budget, patched down
         # here so that an ordinary pair exceeds it; no orbit scan starts

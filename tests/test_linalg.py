@@ -10,26 +10,29 @@ import pytest
 from ffe.classify import key_to_function, special_function
 from ffe.cyclo import CyclotomicInt
 from ffe.linalg import (
+    _MODULI,
     _embeddings,
     char_poly_coeffs,
-    f_two_by_two,
     gram,
     is_butson_hadamard,
-    kummer_check,
     normalized_trace_powers,
-    rank2_trace_formula,
     schmidt_rank,
     singular_values,
     singular_values_stack,
-    state_vector,
     subspace_maximally_entangled,
     trace_power_coeffs,
     trace_powers,
-    verify_lu_map_f4_f22,
 )
 from ffe.ring import ArityError, FiniteFunction
 
 import exact_oracles as oracle
+from exact_oracles import (
+    f_two_by_two,
+    kummer_check,
+    rank2_trace_formula,
+    state_vector,
+    verify_lu_map_f4_f22,
+)
 
 
 def random_function(d, rng):
@@ -119,9 +122,35 @@ class TestTracePowers:
                 assert t == t.conjugate()
 
 
+def is_prime(n):
+    """Deterministic Miller-Rabin: the first twelve primes as bases decide
+    every n below 3.1e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    for a in bases:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class TestTracePowerOracle:
-    """The batched integer kernel against entry-by-entry CyclotomicInt
-    products; d = 10..12 need both CRT residues."""
+    """The float64 kernel against entry-by-entry CyclotomicInt products; at
+    k_max = d, d <= 8 runs unreduced, d = 9..11 through two moduli and the
+    CRT, and d = 12 through three."""
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_single_states(self, d):
@@ -144,6 +173,59 @@ class TestTracePowerOracle:
         stack = np.array([f.values for f in cases]).reshape(-1, d, d)
         got = trace_power_coeffs(stack, d).tolist()
         assert got == [[list(t.coeffs) for t in oracle.trace_powers(f)] for f in cases]
+
+    def test_is_prime(self):
+        sieve = [n for n in range(2, 5000) if all(n % p for p in range(2, math.isqrt(n) + 1))]
+        assert [n for n in range(5000) if is_prime(n)] == sieve
+        # the least strong pseudoprimes to the first one to four prime bases,
+        # and a Carmichael number
+        assert not any(map(is_prime, [2047, 1373653, 25326001, 3215031751, 561]))
+
+    def test_moduli(self):
+        assert len(set(_MODULI)) == len(_MODULI)
+        for p in _MODULI:
+            assert is_prime(p)
+            # a product entry sums d^2 terms, each a residue times a count <= d
+            assert all(d**3 * p < 2**53 for d in range(2, 13))
+        assert math.prod(_MODULI) > 12**24
+
+    @pytest.mark.parametrize("d,k_max,moduli", [(8, 8, 0), (9, 9, 2), (12, 12, 3)])
+    def test_regime_boundaries(self, d, k_max, moduli):
+        # 8^16 = 2^48 is the largest bound at k_max = d that runs unreduced,
+        # d = 9 is the first to need moduli, and 12^24 needs all three
+        bound = d ** (2 * k_max)
+        assert (bound < 2**53) == (moduli == 0)
+        assert moduli == 0 or math.prod(_MODULI[:moduli - 1]) <= bound < math.prod(_MODULI[:moduli])
+        rng = random.Random(700 + d)
+        row = [rng.randrange(d) for _ in range(d)]
+        cases = [FiniteFunction.zero(d, 2), FiniteFunction.from_matrix(d, [row] * d)]
+        cases += [random_function(d, rng) for _ in range(2)]
+        want = [oracle.trace_powers(f, k_max) for f in cases]
+        assert [trace_powers(f, k_max) for f in cases] == want
+        stack = np.array([f.values for f in cases]).reshape(-1, d, d)
+        assert trace_power_coeffs(stack, k_max).tolist() == [[list(t.coeffs) for t in w] for w in want]
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_exact_up_to_the_moduli_limit(self, d):
+        # the zero state and f(x, y) = h(y) have G = d v v^dagger with
+        # |v|^2 = d, so tr G^k = d^(2k), the largest count tr G^k can hold
+        limit = max(k for k in range(1, 100) if d ** (2 * k) < math.prod(_MODULI))
+        assert limit >= 17
+        h = [random.Random(800 + d).randrange(d) for _ in range(d)]
+        cases = [FiniteFunction.zero(d, 2), FiniteFunction.from_matrix(d, [h] * d)]
+        for f in cases:
+            for k_max in range(2, limit + 1):
+                assert trace_powers(f, k_max) == tuple(
+                    CyclotomicInt.from_int(d, d ** (2 * k)) for k in range(2, k_max + 1)
+                )
+        past = rf"\bd={d}\b.*\bk_max={limit + 1}\b"
+        for f in cases:
+            with pytest.raises(ValueError, match=past):
+                trace_powers(f, limit + 1)
+        with pytest.raises(ValueError, match=past):
+            normalized_trace_powers(cases[0], limit + 1)
+        with pytest.raises(ValueError, match=past):
+            trace_power_coeffs(np.array([f.image() for f in cases]), limit + 1)
 
     @pytest.mark.parametrize("name", ["cat3_all", "cat4_full", "cat6_teh"])
     def test_catalogue_signatures(self, request, name):
