@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import time
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -236,6 +237,29 @@ class LUClassRecord(NamedTuple):
     member_lfp_class_ids: list
 
 
+def _json_list(items, pad="   ", encode=repr, ends="[]"):
+    """The items, each as encode writes it, as a JSON list laid out the way
+    json.dumps(indent=1) lays out a value whose key sits at indent pad (by
+    default a key of a class or LU record); with ends "{}" and '"key": value'
+    items, as an object.  An empty one is ends."""
+    sep = ",\n " + pad
+    return f"{ends[0]}\n {pad}{sep.join(map(encode, items))}\n{pad}{ends[1]}" if items else ends
+
+
+def _json_format(pad, *keys):
+    """A format string, one {} per key's value, of the object _json_list lays out."""
+    return _json_list([f'"{k}": {{}}' for k in keys], pad, str, ("{{", "}}"))
+
+
+# The objects of Catalogue.to_json, keys in sorted order
+_TOP_JSON = _json_format("", "classes", "d", "lu_classes", "provenance", "scope")
+_CLASS_JSON = _json_format(
+    "  ", "I_t", "col_signature", "contains_polynomial", "haagerup", "id", "orbit_size",
+    "polynomials", "representative", "row_signature", "singular_values",
+)
+_LU_JSON = _json_format("  ", "id", "members", "singular_values")
+
+
 class Catalogue:
     """The LFP classes of a scope, in id order, and their LU classes.
 
@@ -244,6 +268,12 @@ class Catalogue:
     it, polynomials (sorted normal-form texts) from the polynomial keys and
     index_keys, the key stack classify_lfp built (see _polynomial_keys),
     each once, on first use.  An LU class has its least member's values.
+
+    to_json writes, byte for byte, what json.dumps(..., indent=1,
+    sort_keys=True) writes for the catalogue's dict (which
+    tests/exact_oracles.catalogue_json builds), but from the schema: one
+    format string per record with its keys in sorted order, and one str.join
+    of C-level reprs (json's encode_basestring_ascii for texts) per list.
     """
 
     def __init__(self, d, scope, orbits, index_keys, lu_classes=None, provenance=None):
@@ -273,49 +303,34 @@ class Catalogue:
         return [sorted(t for key in rec.polynomial_keys for t in index[key]) for rec in self.orbits]
 
     def to_json(self):
-        classes, sv = [], self.singular_values
-        columns = zip(self.orbits, self.images.tolist(), self.fingerprints, sv, self.polynomials)
-        for rec, rep, (it, rowsig, colsig, haag), values, texts in columns:
-            entry = {
-                "id": rec.lfp_class_id,
-                "representative": rep,
-                "orbit_size": rec.orbit_size,
-                "contains_polynomial": rec.contains_polynomial,
-                "polynomials": texts,
-                "I_t": it,
-                "row_signature": list(rowsig),
-                "col_signature": list(colsig),
-                "haagerup": list(haag),
-                "singular_values": [round(v, 10) for v in values],
-            }
-            if rec.lfp_class_id in self.lu_of_lfp:
-                entry["lu_class"] = self.lu_of_lfp[rec.lfp_class_id]
-            classes.append(entry)
-        return json.dumps(
-            {
-                "d": self.d,
-                "scope": self.scope,
-                "classes": classes,
-                "lu_classes": [
-                    {
-                        "id": rec.lu_class_id,
-                        "members": list(rec.member_lfp_class_ids),
-                        "singular_values": [
-                            round(v, 10) for v in sv[min(rec.member_lfp_class_ids)]
-                        ],
-                    }
-                    for rec in self.lu_classes
-                ],
-                # run-dependent fields stay out so output is
-                # byte-identical across runs
-                "provenance": {
-                    k: v
-                    for k, v in self.provenance.items()
-                    if k in ("seed_count", "version")
-                },
-            },
-            indent=1,
-            sort_keys=True,
+        sv, d = self.singular_values, self.d
+        # a class's "lu_class", when it has one, follows its "id" in the id slot
+        ids = {cid: f'{cid},\n   "lu_class": {lu}' for cid, lu in self.lu_of_lfp.items()}
+        # the representative's d x d entries, filled by one format call per class
+        rep_json = _json_list([_json_list(["{}"] * d, "    ", str)] * d, encode=str)
+        reps = self.images.reshape(-1, d * d).tolist()
+        columns = zip(self.orbits, reps, self.fingerprints, sv, self.polynomials)
+        classes = [
+            _CLASS_JSON.format(
+                it, _json_list(colsig), "true" if rec.contains_polynomial else "false",
+                _json_list(haag), ids.get(rec.lfp_class_id, rec.lfp_class_id),
+                rec.orbit_size, _json_list(texts, encode=encode_basestring_ascii),
+                rep_json.format(*rep), _json_list(rowsig),
+                _json_list([round(v, 10) for v in values]),
+            )
+            for rec, rep, (it, rowsig, colsig, haag), values, texts in columns
+        ]
+        lu_classes = [
+            _LU_JSON.format(rec.lu_class_id, _json_list(rec.member_lfp_class_ids),
+                            _json_list([round(v, 10) for v in sv[min(rec.member_lfp_class_ids)]]))
+            for rec in self.lu_classes
+        ]
+        # run-dependent fields stay out so output is byte-identical across runs
+        provenance = [f'"{k}": {self.provenance[k]}' for k in ("seed_count", "version")
+                      if k in self.provenance]
+        return _TOP_JSON.format(
+            _json_list(classes, " ", str), d, _json_list(lu_classes, " ", str),
+            _json_list(provenance, " ", str, "{}"), encode_basestring_ascii(self.scope),
         )
 
     def to_csv(self):
@@ -371,7 +386,7 @@ def _fingerprint_stack(mats):
     n, d, _ = mats.shape
     m = mats.astype(np.int8)  # each Haagerup term lies in (-2d, 2d), in int8 at d <= 12
     r = m[:, :, :, None] - m[:, :, None, :]  # (k, a, b, e)
-    t = ((r[:, :, None] - r[:, None]) % d).reshape(n, -1)
+    t = ((r[:, :, None] - r[:, None]) % d).reshape(n, d**4)
     haagerup = np.stack([np.count_nonzero(t == v, axis=1) for v in range(d)], axis=1)
     # the count of each value among the row (column) sums, sorted, zeros first
     sigs = [np.sort(((m.sum(axis=a) % d)[..., None] == np.arange(d)).sum(axis=1)) for a in (2, 1)]
@@ -415,14 +430,15 @@ def dephased_polynomial_index(d, index_keys=None):
     keys, (monomials, choices, _), mixed, rows = index_keys or _polynomial_keys(d)
     order = sorted(range(1, len(monomials)), key=lambda k: _text_order(monomials[k]))
     terms = [[_term_text(("x", "y"), e, c) if c else "" for c in range(d)] for e in monomials]
+    # each monomial's term options in text order; a key fixes its mixed slots
+    slots = [[terms[k][c] for c in choices[k]] for k in order]
+    at = [order.index(k) for k in mixed]
     index = {}
     for key, row in zip(keys, rows.tolist()):
-        fixed = dict(zip(mixed, row))
-        texts = [""]
-        for k in order:
-            options = [terms[k][c] for c in ([fixed[k]] if k in fixed else choices[k])]
-            texts = [f"{p} + {t}" if p and t else p or t for p in texts for t in options]
-        index[key.tobytes()] = sorted(t or "0" for t in texts)
+        for i, k, c in zip(at, mixed, row):
+            slots[i] = [terms[k][c]]
+        texts = (" + ".join(filter(None, t)) or "0" for t in itertools.product(*slots))
+        index[key.tobytes()] = sorted(texts)
     return index
 
 

@@ -191,33 +191,10 @@ def dephase(f):
     return DephasedForm(rep, corr)
 
 
-def is_dephased(f):
-    if f.n == 1:
-        return f.values[0] == 0
-    return not any(map(any, _axes(f)))
-
-
 def _axes(f):
     """f on the axes through 0: row i holds f(k e_i) for k in Z_d."""
     d, n = f.d, f.n
     return [f.values[: d ** (n - i) : d ** (n - 1 - i)] for i in range(n)]
-
-
-def image_matrix_row_col_ops(f, row_perm=None, col_perm=None, row_phases=None, col_phases=None):
-    """Concrete bipartite LFP action on the image matrix: permute rows and
-    columns and add constants to rows and columns."""
-    m = f.image().tolist()
-    d = f.d
-    row_perm = check_permutation(row_perm if row_perm is not None else range(d), d)
-    col_perm = check_permutation(col_perm if col_perm is not None else range(d), d)
-    row_phases = tuple(row_phases) if row_phases is not None else (0,) * d
-    col_phases = tuple(col_phases) if col_phases is not None else (0,) * d
-    vals = [
-        m[row_perm[x]][col_perm[y]] + row_phases[x] + col_phases[y]
-        for x in range(d)
-        for y in range(d)
-    ]
-    return FiniteFunction(d, 2, vals)
 
 
 def random_lfp(d, n, seed):

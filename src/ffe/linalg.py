@@ -216,8 +216,8 @@ def _jacobi_eigenvalues_stack(a):
 
     A matrix leaves the stack at the top of the sweep where its off-diagonal
     max falls below _JACOBI_EPS. At each (p, q), only the matrices with
-    |a_pq| >= _JACOBI_EPS rotate; their angles come from math.atan2/cos/sin,
-    one matrix at a time, since numpy's SIMD trig can differ from libm.
+    |a_pq| >= _JACOBI_EPS rotate; their angles come from math.atan2/cos/sin
+    mapped over them, since numpy's SIMD trig can differ from libm.
     """
     a = np.array(a, dtype=float)
     size = a.shape[-1]
@@ -240,9 +240,9 @@ def _jacobi_eigenvalues_stack(a):
                 m = a if len(rot) == len(a) else a[rot]
                 two_apq = (2.0 * apq[rot]).tolist()
                 diff = (m[:, q, q] - m[:, p, p]).tolist()
-                theta = [0.5 * math.atan2(y, x) for y, x in zip(two_apq, diff)]
-                c = np.array([math.cos(t) for t in theta])[:, None]
-                s = np.array([math.sin(t) for t in theta])[:, None]
+                theta = [0.5 * t for t in map(math.atan2, two_apq, diff)]
+                c = np.fromiter(map(math.cos, theta), float, len(theta))[:, None]
+                s = np.fromiter(map(math.sin, theta), float, len(theta))[:, None]
                 x, y = m[:, p], m[:, q]
                 m[:, p], m[:, q] = c * x - s * y, s * x + c * y
                 x, y = m[:, :, p], m[:, :, q]

@@ -315,6 +315,3 @@ def function_from_json(obj):
         raise ArityError("residues must be integers in [0, d)")
     return FiniteFunction(d, n, flat)
 
-
-def emit_function(f):
-    return json.dumps({"d": f.d, "n": f.n, "values": f.as_nested()})

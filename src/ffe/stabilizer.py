@@ -149,15 +149,6 @@ def internally_commutes(f, i, kappa):
     return bool((t == np.take(t, [0], axis=i)).all())
 
 
-def internally_commuting_set_exists_for(f, witnesses):
-    """Verify the witness tuple: with kappa_i = pi_i^(-1) o kappa_plus o pi_i
-    every site must pass the internal-commutativity criterion."""
-    return all(
-        internally_commutes(f, i, _witness_cycle(check_permutation(w, f.d)))
-        for i, w in enumerate(witnesses)
-    )
-
-
 def continuous_symmetry_predicate(f, sigma, sites=(0, 1)):
     """True iff f(sigma(a), sigma^(-1)(b), tail) = f(sigma(b), sigma^(-1)(a), tail)
     for all a, b and tail assignments; the hypothesis for a continuous

@@ -41,12 +41,17 @@ check.
   shares only `classify._pivot_tables` with the library's array-state search,
   which tests/test_classify.py checks against it at d = 2..12 and against
   the orbit closure at d <= 6.
+- `catalogue_json` is `Catalogue.to_json` the way the library once wrote
+  it: the catalogue as a dict of lists and dicts, written by the stdlib's
+  `json.dumps(..., indent=1, sort_keys=True)`.  It reads the catalogue's
+  columns and records only, never its JSON emitter.
 - The paper's closed forms that no library path computes: `rank2_trace_formula`
   (tr rho^2 of a two-output row function), `kummer_check`, and
   `verify_lu_map_f4_f22`, the explicit local unitary from F_2 tensor F_2
   (`f_two_by_two`) to |xy> at d = 4, checked on numeric `state_vector`s.
 """
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -366,6 +371,39 @@ def continuous_symmetry_predicate(f, sigma, sites):
                 if f.values[flat_index(x, d)] != lhs:
                     return False
     return True
+
+
+def catalogue_json(cat):
+    classes, sv = [], cat.singular_values
+    columns = zip(cat.orbits, cat.images.tolist(), cat.fingerprints, sv, cat.polynomials)
+    for rec, rep, (it, rowsig, colsig, haag), values, texts in columns:
+        entry = {
+            "id": rec.lfp_class_id,
+            "representative": rep,
+            "orbit_size": rec.orbit_size,
+            "contains_polynomial": rec.contains_polynomial,
+            "polynomials": texts,
+            "I_t": it,
+            "row_signature": list(rowsig),
+            "col_signature": list(colsig),
+            "haagerup": list(haag),
+            "singular_values": [round(v, 10) for v in values],
+        }
+        if rec.lfp_class_id in cat.lu_of_lfp:
+            entry["lu_class"] = cat.lu_of_lfp[rec.lfp_class_id]
+        classes.append(entry)
+    lu_classes = [
+        {
+            "id": rec.lu_class_id,
+            "members": list(rec.member_lfp_class_ids),
+            "singular_values": [round(v, 10) for v in sv[min(rec.member_lfp_class_ids)]],
+        }
+        for rec in cat.lu_classes
+    ]
+    provenance = {k: v for k, v in cat.provenance.items() if k in ("seed_count", "version")}
+    doc = {"d": cat.d, "scope": cat.scope, "classes": classes, "lu_classes": lu_classes,
+           "provenance": provenance}
+    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def block_texts(d, monomials, coeffs):

@@ -27,7 +27,7 @@ from ffe.classify import (
     membership_check,
     special_function,
 )
-from ffe.fpops import dephase, image_matrix_row_col_ops, is_dephased, random_lfp
+from ffe.fpops import dephase, random_lfp
 from ffe.linalg import is_butson_hadamard, singular_values
 from ffe.polynomials import (
     EnumerationTooLarge,
@@ -42,6 +42,7 @@ from ffe.verify import verify_appendix
 
 import exact_oracles
 from exact_oracles import lfp_orbit
+from scaffolding import image_matrix_row_col_ops, is_dephased
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +324,11 @@ class TestPolynomialIndex:
         assert dephased_polynomial_index(d) == exact_oracles.index_by_block_dephasing(d)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_keys_in_key_stack_order(self, d):
+        keys = classify._polynomial_keys(d)[0]
+        assert list(dephased_polynomial_index(d)) == [key.tobytes() for key in keys]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_builds_the_basis_once(self, d, monkeypatch):
         calls = []
 
@@ -504,6 +510,40 @@ class TestCatalogueColumns:
         for lu in doc["lu_classes"]:
             values = cat3_all.singular_values[min(lu["members"])]
             assert lu["singular_values"] == [round(v, 10) for v in values]
+
+
+class TestCatalogueJson:
+    """The schema emitter of Catalogue.to_json against the stdlib's
+    json.dumps(indent=1, sort_keys=True) of the catalogue's dict."""
+
+    @staticmethod
+    def assert_same_json(cat):
+        text = cat.to_json()
+        assert text == exact_oracles.catalogue_json(cat)
+        return json.loads(text)
+
+    @pytest.mark.parametrize("name", TestCatalogueColumns.CATALOGUES)
+    def test_golden_catalogues(self, request, name):
+        self.assert_same_json(request.getfixturevalue(name))
+
+    def test_d2_with_and_without_lu(self):
+        cat = classify_lfp(2, "all")
+        doc = self.assert_same_json(cat)
+        assert doc["lu_classes"] == [] and all("lu_class" not in c for c in doc["classes"])
+        doc = self.assert_same_json(classify_lu(cat))
+        assert [c["lu_class"] for c in doc["classes"]] == [0, 1]
+
+    def test_no_orbits(self):
+        empty = classify.Catalogue(3, "teh", [], classify._polynomial_keys(3))
+        assert self.assert_same_json(empty) == {
+            "classes": [], "d": 3, "lu_classes": [], "provenance": {}, "scope": "teh"}
+
+    def test_provenance_keeps_seed_count_and_version(self):
+        cat = classify_lfp(3, "all")
+        for provenance in [{"version": 1}, {"seed_count": 7, "runtime_seconds": 0.5}]:
+            moved = classify.Catalogue(3, "all", cat.orbits, cat.index_keys, provenance=provenance)
+            kept = {k: v for k, v in provenance.items() if k != "runtime_seconds"}
+            assert self.assert_same_json(moved)["provenance"] == kept
 
 
 class TestClassifyD2:

@@ -17,7 +17,9 @@ from ffe.cli import EXIT_BUDGET, EXIT_CONFORMANCE, EXIT_INPUT, EXIT_OK, main
 from ffe.fpops import random_lfp
 from ffe.linalg import trace_powers
 from ffe.polynomials import Polynomial, admissible_monomials, parse_polynomial
-from ffe.ring import FiniteFunction, emit_function
+from ffe.ring import FiniteFunction
+
+from scaffolding import emit_function
 
 
 def run(capsys, *argv):

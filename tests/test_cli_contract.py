@@ -31,7 +31,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ffe import cli, verify
-from ffe.ring import FiniteFunction, emit_function
+from ffe.ring import FiniteFunction
+
+from scaffolding import emit_function
 
 DEADLINE = timedelta(seconds=5)
 EXAMPLES = 40

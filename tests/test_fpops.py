@@ -10,11 +10,11 @@ from ffe.fpops import (
     FPElement,
     LFPElement,
     dephase,
-    image_matrix_row_col_ops,
-    is_dephased,
     random_lfp,
 )
 from ffe.ring import ArityError, FiniteFunction, ResidueError
+
+from scaffolding import image_matrix_row_col_ops, is_dephased
 
 
 def random_function(d, n, rng):

@@ -12,6 +12,7 @@ from ffe.cyclo import CyclotomicInt
 from ffe.linalg import (
     _MODULI,
     _embeddings,
+    _jacobi_eigenvalues_stack,
     char_poly_coeffs,
     gram,
     is_butson_hadamard,
@@ -369,6 +370,15 @@ class TestSingularValuesOracle:
         for rec, values in zip(cat.orbits, singular_values_stack(images)):
             f = key_to_function(cat.d, rec.representative)
             assert self.same_floats(values, oracle.singular_values(f)), f
+
+    @pytest.mark.parametrize("size", range(2, 9))
+    def test_jacobi_stack_bitwise_on_random_symmetric(self, size):
+        # random real symmetric matrices, with a diagonal one that leaves
+        # before any rotation, against one-matrix Jacobi on numpy rows
+        g = np.random.default_rng(size).standard_normal((12, size, size))
+        stack = np.concatenate([g + g.transpose(0, 2, 1), np.diag(np.arange(float(size)))[None]])
+        for m, got in zip(stack, _jacobi_eigenvalues_stack(stack)):
+            assert got.tobytes() == oracle.jacobi_eigenvalues(m).tobytes()
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_embeddings_bitwise(self, d):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import ffe
 from ffe import classify, linalg
 from ffe.cyclo import CyclotomicInt, CyclotomicRat
-from ffe.fpops import DephasedForm, FPElement, LFPElement, image_matrix_row_col_ops
+from ffe.fpops import DephasedForm, FPElement, LFPElement
 from ffe.polynomials import Polynomial, TensorEdgeHypergraph
 from ffe.ring import (
     ArityError,
@@ -27,7 +27,6 @@ from ffe.ring import (
     ResidueError,
     check_permutation,
     compose_index_maps,
-    emit_function,
     function_from_json,
     invert_permutation,
     parse_function,
@@ -36,6 +35,8 @@ from ffe.ring import (
     site_permutation_as_global,
 )
 from ffe.stabilizer import CycleSpec, StabilizerSet
+
+from scaffolding import emit_function, image_matrix_row_col_ops
 
 
 def random_function(d, n, rng):

@@ -13,7 +13,6 @@ from ffe.stabilizer import (
     complete_set,
     continuous_symmetry_predicate,
     internally_commutes,
-    internally_commuting_set_exists_for,
     is_full_cycle,
     make_stabilizer,
     plus_cycle,
@@ -21,6 +20,7 @@ from ffe.stabilizer import (
 )
 
 import exact_oracles as oracle
+from scaffolding import internally_commuting_set_exists_for
 
 
 def random_function(d, n, rng):
