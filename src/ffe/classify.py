@@ -217,10 +217,6 @@ def lfp_orbit_keys(f):
     return set(_orbit(f.image()).tolist())
 
 
-def key_to_function(d, key):
-    return FiniteFunction._of_residues(d, 2, key)
-
-
 class OrbitRecord(NamedTuple):
     lfp_class_id: int
     representative: bytes
@@ -265,9 +261,9 @@ class Catalogue:
 
     images, the (N, d, d) uint8 stack of the representatives, is built with
     the catalogue.  The columns singular_values and fingerprints come from
-    it, polynomials (sorted normal-form texts) from the polynomial keys and
-    index_keys, the key stack classify_lfp built (see _polynomial_keys),
-    each once, on first use.  An LU class has its least member's values.
+    it, polynomials (sorted normal-form texts) from the polynomial keys by
+    dephased_polynomial_index, each once, on first use.  A catalogue keeps
+    only its records; an LU class has its least member's values.
 
     to_json writes, byte for byte, what json.dumps(..., indent=1,
     sort_keys=True) writes for the catalogue's dict (which
@@ -276,13 +272,12 @@ class Catalogue:
     of C-level reprs (json's encode_basestring_ascii for texts) per list.
     """
 
-    def __init__(self, d, scope, orbits, index_keys, lu_classes=None, provenance=None):
+    def __init__(self, d, scope, orbits, lu_classes=None, provenance=None):
         self.d = d
         self.scope = scope
         self.orbits = orbits
         self.lu_classes = lu_classes or []
         self.provenance = provenance or {}
-        self.index_keys = index_keys
         self.lu_of_lfp = {
             cid: rec.lu_class_id for rec in self.lu_classes for cid in rec.member_lfp_class_ids
         }
@@ -299,7 +294,7 @@ class Catalogue:
 
     @functools.cached_property
     def polynomials(self):
-        index = dephased_polynomial_index(self.d, self.index_keys)
+        index = dephased_polynomial_index(self.d)
         return [sorted(t for key in rec.polynomial_keys for t in index[key]) for rec in self.orbits]
 
     def to_json(self):
@@ -418,16 +413,16 @@ def _polynomial_keys(d):
     return (rows @ images[mixed] % d).astype(np.uint8).reshape(-1, d, d), basis, mixed, rows
 
 
-def dephased_polynomial_index(d, index_keys=None):
+def dephased_polynomial_index(d):
     """Map byte key of each dephased polynomial image -> sorted normal forms.
 
     The listed forms are constant-free: a mixed part, whose monomials hold x
     and y, plus univariate parts.  Dephasing removes exactly the univariate
     parts, so the keys are the distinct images of the mixed-only forms, and
     each key lists its mixed form with every univariate coefficient choice.
-    A caller that has built index_keys = _polynomial_keys(d) passes it.
+    It rebuilds classify_lfp's key stack (_polynomial_keys, about 0.3 ms).
     """
-    keys, (monomials, choices, _), mixed, rows = index_keys or _polynomial_keys(d)
+    keys, (monomials, choices, _), mixed, rows = _polynomial_keys(d)
     order = sorted(range(1, len(monomials)), key=lambda k: _text_order(monomials[k]))
     terms = [[_term_text(("x", "y"), e, c) if c else "" for c in range(d)] for e in monomials]
     # each monomial's term options in text order; a key fixes its mixed slots
@@ -496,7 +491,7 @@ def classify_lfp(d, scope="all", threads=None):
         raise BudgetError(
             f"scope=all at d={d} needs {d ** ((d - 1) ** 2)} matrices > {ALL_SCOPE_BUDGET}"
         )
-    index_keys = index_mats, *_ = _polynomial_keys(d)
+    index_mats = _polynomial_keys(d)[0]
     if scope == "all":
         seed_count = d ** ((d - 1) ** 2)
         forms, orbit_of = _close_orbits(d, index_mats)
@@ -516,7 +511,7 @@ def classify_lfp(d, scope="all", threads=None):
         "runtime_seconds": round(time.time() - start, 3),
         "version": 1,
     }
-    return Catalogue(d, scope, orbits, index_keys, provenance=provenance)
+    return Catalogue(d, scope, orbits, provenance=provenance)
 
 
 def classify_lu(cat):
@@ -528,7 +523,7 @@ def classify_lu(cat):
     # a group enters at its least member and the classes come in id order,
     # so the groups and their members are both in order of least id
     lu_classes = [LUClassRecord(lu_id, members) for lu_id, members in enumerate(groups.values())]
-    return Catalogue(cat.d, cat.scope, cat.orbits, cat.index_keys, lu_classes, cat.provenance)
+    return Catalogue(cat.d, cat.scope, cat.orbits, lu_classes, cat.provenance)
 
 
 # The named states that are polynomials, as texts with parameter slots; x^t,

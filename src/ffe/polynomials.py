@@ -28,6 +28,7 @@ import numpy as np
 from .ring import ArityError, FiniteFunction, Value, check_shape, prime_power_factors
 
 ENUMERATION_BUDGET = 10**7
+BLOCK_ROWS = 8192  # normal forms per block of enumerate_polynomial_blocks
 
 
 class PolynomialParseError(ValueError):
@@ -237,63 +238,53 @@ def _crt_basis(factors):
 
 def normal_form_basis(d, n):
     """(monomials, choices, images): the normal forms over Z_d are the product
-    of the coefficient choices, within ENUMERATION_BUDGET.
+    of the coefficient choices, unless their count passes ENUMERATION_BUDGET.
 
     `monomials` lists the merged admissible exponent vectors, lex order, the
     constant monomial first.  choices[k] lists monomial k's CRT-merged
     coefficients in Z_d; a monomial absent from a prime-power component
     contributes 0 there.  images[k] is the image of monomial k (int64).
     """
+    if count_polynomial_functions(d, n) > ENUMERATION_BUDGET:
+        raise EnumerationTooLarge(
+            f"{d=}, {n=}: more than {ENUMERATION_BUDGET} polynomial functions"
+        )
     factors = prime_power_factors(d)
     basis = _crt_basis(factors)
     component = [dict(admissible_monomials(p, m, n)) for p, m in factors]
     merged = sorted(set().union(*component))
     choice_lists = []
-    total = 1
     for exps in merged:
         residue_ranges = [range(comp.get(exps, 1)) for comp in component]
         choice_lists.append([
             sum(u * r for u, r in zip(basis, residues)) % d
             for residues in itertools.product(*residue_ranges)
         ])
-        total *= len(choice_lists[-1])
-        if total > ENUMERATION_BUDGET:
-            raise EnumerationTooLarge(
-                f"{d=}, {n=}: more than {ENUMERATION_BUDGET} polynomial functions"
-            )
     images = np.array(
         [Polynomial(d, n, {e: 1}).to_function().values for e in merged], dtype=np.int64
     )
     return merged, choice_lists, images
 
 
-def enumerate_polynomial_blocks(d, n, chunk=8192):
+def enumerate_polynomial_blocks(d, n):
     """Yield (monomials, coeffs, images) blocks covering every normal form once.
 
-    `monomials` are those of normal_form_basis.  A block holds up to `chunk`
-    normal forms as int64 arrays: `coeffs` (rows x monomials) and their
-    images `coeffs @ M % d` (rows x d^n), where row k of M is the image of
-    monomial k.  Rows run in itertools.product order over the coefficient
+    `monomials` are those of normal_form_basis.  A block holds up to
+    BLOCK_ROWS normal forms as int64 arrays: `coeffs` (rows x monomials) and
+    their images `coeffs @ M % d` (rows x d^n), where row k of M is the image
+    of monomial k.  Rows run in itertools.product order over the coefficient
     choices, so the constant varies slowest.
     """
     merged, choice_lists, images = normal_form_basis(d, n)
-    radices = np.array([len(c) for c in choice_lists], dtype=np.int64)
-    # mixed-radix place values, the last monomial fastest
-    strides = np.cumprod(np.append(1, radices[:0:-1]))[::-1]
-    table = np.zeros((len(merged), int(radices.max())), dtype=np.int64)
-    for k, choices in enumerate(choice_lists):
-        table[k, : len(choices)] = choices
-    columns = np.arange(len(merged))
-    rows = int(np.prod(radices))
-    for start in range(0, rows, chunk):
-        ordinals = np.arange(start, min(start + chunk, rows), dtype=np.int64)
-        coeffs = table[columns, ordinals[:, None] // strides % radices]
+    rows = itertools.product(*choice_lists)
+    while block := list(itertools.islice(rows, BLOCK_ROWS)):
+        coeffs = np.array(block, dtype=np.int64)
         yield merged, coeffs, coeffs @ images % d
 
 
-def enumerate_polynomial_functions(d, n, chunk=8192):
+def enumerate_polynomial_functions(d, n):
     """Yield every (normal-form polynomial, image function) exactly once."""
-    for monomials, coeffs, images in enumerate_polynomial_blocks(d, n, chunk):
+    for monomials, coeffs, images in enumerate_polynomial_blocks(d, n):
         for row_coeffs, row_vals in zip(coeffs.tolist(), images.tolist()):
             poly = Polynomial._of_row(d, n, monomials, row_coeffs)
             yield poly, FiniteFunction._of_residues(d, n, row_vals)

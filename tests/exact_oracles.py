@@ -62,6 +62,7 @@ from ffe import classify
 from ffe.cyclo import CyclotomicInt, CyclotomicRat
 from ffe.polynomials import _term_text, _text_order, enumerate_polynomial_blocks
 from ffe.ring import FiniteFunction
+from scaffolding import key_to_function
 
 
 def gram(f):
@@ -434,7 +435,7 @@ def index_by_block_dephasing(d):
 
 def lfp_orbit(f):
     """The orbit of dephased image matrices of f, as FiniteFunctions."""
-    return {classify.key_to_function(f.d, key) for key in classify.lfp_orbit_keys(f)}
+    return {key_to_function(f.d, key) for key in classify.lfp_orbit_keys(f)}
 
 
 def _positions(sorted_keys, keys):

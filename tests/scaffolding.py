@@ -9,6 +9,8 @@ no library path calls them.
 - `internally_commuting_set_exists_for` checks a witness tuple: every site
   must pass `stabilizer.internally_commutes` with the cycle its witness
   conjugates.
+- `key_to_function` reads a catalogue's d x d byte key (a representative or
+  an orbit key) back as the bipartite function with that image matrix.
 """
 import json
 
@@ -39,6 +41,10 @@ def is_dephased(f):
         return f.values[0] == 0
     # k e_i sits at flat index k d^(n-1-i)
     return not any(f.values[k * d ** (n - 1 - i)] for i in range(n) for k in range(d))
+
+
+def key_to_function(d, key):
+    return FiniteFunction._of_residues(d, 2, key)
 
 
 def emit_function(f):

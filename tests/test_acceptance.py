@@ -21,7 +21,6 @@ from ffe.classify import (
     haagerup_histogram,
     invariant_It,
     invariant_row_signature,
-    key_to_function,
     lower_bound,
     special_function,
 )
@@ -49,6 +48,7 @@ from ffe.stabilizer import (
 from ffe.verify import verify_appendix
 
 from exact_oracles import kummer_check, rank2_trace_formula, verify_lu_map_f4_f22
+from scaffolding import key_to_function
 
 
 def _class_id_of(cat, f):

@@ -21,7 +21,6 @@ from ffe.classify import (
     invariant_It,
     invariant_row_signature,
     invariants_fingerprint,
-    key_to_function,
     lfp_orbit_keys,
     lower_bound,
     membership_check,
@@ -42,7 +41,7 @@ from ffe.verify import verify_appendix
 
 import exact_oracles
 from exact_oracles import lfp_orbit
-from scaffolding import image_matrix_row_col_ops, is_dephased
+from scaffolding import image_matrix_row_col_ops, is_dephased, key_to_function
 
 
 @pytest.fixture(scope="module")
@@ -440,8 +439,9 @@ class TestCatalogueColumns:
                          "dephased_polynomial_index": 0}
 
     @pytest.mark.parametrize("scope", ["all", "teh"])
-    def test_key_stack_built_once(self, scope, monkeypatch):
-        # the polynomial texts reuse the key stack that classify_lfp built
+    def test_key_stack_rebuilt_once_for_texts(self, scope, monkeypatch):
+        # classify_lfp builds the key stack, the first to_json builds it once
+        # more for the polynomial texts, and to_csv and a second to_json none
         calls = []
 
         def counted(*args):
@@ -452,7 +452,17 @@ class TestCatalogueColumns:
         cat = classify_lu(classify_lfp(4, scope))
         assert calls == [(4, 2)]
         cat.to_json()
-        assert calls == [(4, 2)]
+        assert calls == [(4, 2)] * 2
+        cat.to_csv()
+        cat.to_json()
+        assert calls == [(4, 2)] * 2
+
+    @pytest.mark.parametrize("name", ["cat3_all", "cat4_teh", "cat6_teh"])
+    def test_catalogue_is_its_records(self, request, name):
+        cat = request.getfixturevalue(name)
+        rebuilt = classify.Catalogue(cat.d, cat.scope, cat.orbits, cat.lu_classes, cat.provenance)
+        assert rebuilt.to_json() == cat.to_json()
+        assert rebuilt.to_csv() == cat.to_csv()
 
     @pytest.mark.parametrize("name", CATALOGUES)
     def test_columns_match_representatives(self, request, name):
@@ -534,14 +544,14 @@ class TestCatalogueJson:
         assert [c["lu_class"] for c in doc["classes"]] == [0, 1]
 
     def test_no_orbits(self):
-        empty = classify.Catalogue(3, "teh", [], classify._polynomial_keys(3))
+        empty = classify.Catalogue(3, "teh", [])
         assert self.assert_same_json(empty) == {
             "classes": [], "d": 3, "lu_classes": [], "provenance": {}, "scope": "teh"}
 
     def test_provenance_keeps_seed_count_and_version(self):
         cat = classify_lfp(3, "all")
         for provenance in [{"version": 1}, {"seed_count": 7, "runtime_seconds": 0.5}]:
-            moved = classify.Catalogue(3, "all", cat.orbits, cat.index_keys, provenance=provenance)
+            moved = classify.Catalogue(3, "all", cat.orbits, provenance=provenance)
             kept = {k: v for k, v in provenance.items() if k != "runtime_seconds"}
             assert self.assert_same_json(moved)["provenance"] == kept
 

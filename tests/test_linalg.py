@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffe.classify import key_to_function, special_function
+from ffe.classify import special_function
 from ffe.cyclo import CyclotomicInt
 from ffe.linalg import (
     _MODULI,
@@ -34,6 +34,7 @@ from exact_oracles import (
     state_vector,
     verify_lu_map_f4_f22,
 )
+from scaffolding import key_to_function
 
 
 def random_function(d, rng):

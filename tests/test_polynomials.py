@@ -8,6 +8,8 @@ import pytest
 
 from ffe.classify import special_function
 from ffe.polynomials import (
+    BLOCK_ROWS,
+    ENUMERATION_BUDGET,
     EnumerationTooLarge,
     Polynomial,
     PolynomialParseError,
@@ -18,6 +20,7 @@ from ffe.polynomials import (
     enumerate_polynomial_functions,
     is_polynomial,
     monomial_gate_list,
+    normal_form_basis,
     parse_polynomial,
     poly_to_teh,
     teh_to_poly,
@@ -100,8 +103,10 @@ class TestEnumeration:
         # one per constant c: the zero-constant run with its constant set to
         # c and its images shifted by c.  The dephased index lists only the
         # constant-free forms for this reason.
-        blocks = list(enumerate_polynomial_blocks(d, 2, chunk=5000))
-        assert all(len(coeffs) <= 5000 for _, coeffs, _ in blocks)
+        blocks = list(enumerate_polynomial_blocks(d, 2))
+        sizes = [len(coeffs) for _, coeffs, _ in blocks]
+        assert sizes[:-1] == [BLOCK_ROWS] * (len(blocks) - 1)
+        assert 0 < sizes[-1] <= BLOCK_ROWS
         coeffs, images = (np.concatenate([b[i] for b in blocks]) for i in (1, 2))
         assert len(coeffs) == count_polynomial_functions(d, 2)
         coeffs, images = coeffs.reshape(d, -1, coeffs.shape[1]), images.reshape(d, -1, d * d)
@@ -115,13 +120,25 @@ class TestEnumeration:
     @pytest.mark.parametrize("d", [4, 6])
     def test_block_texts_match_to_text(self, d):
         # the rendering of the block-dephasing oracle for the polynomial index
-        monomials, coeffs, _ = next(enumerate_polynomial_blocks(d, 2, chunk=3000))
+        monomials, coeffs, _ = next(enumerate_polynomial_blocks(d, 2))
+        assert len(coeffs) == BLOCK_ROWS
         expected = [
             Polynomial(d, 2, dict(zip(monomials, row))).to_text()
             for row in coeffs.tolist()
         ]
         assert exact_oracles.block_texts(d, monomials, coeffs) == expected
         assert expected[0] == "0"
+
+    def test_budget_is_the_count(self):
+        # normal_form_basis raises exactly where the count passes the budget;
+        # below it, the coefficient choices multiply out to the count
+        for d, n in itertools.product(range(2, 13), range(1, 5)):
+            count = count_polynomial_functions(d, n)
+            if count > ENUMERATION_BUDGET:
+                with pytest.raises(EnumerationTooLarge):
+                    normal_form_basis(d, n)
+            else:
+                assert math.prod(map(len, normal_form_basis(d, n)[1])) == count
 
     def test_d6_count(self):
         assert count_polynomial_functions(6, 2) == 2**4 * 3**9 == 314928
